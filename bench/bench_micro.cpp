@@ -25,6 +25,54 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPop)->Arg(1000)->Arg(10000);
 
+// A cheap deterministic delay source, so the queue benchmarks below time the
+// queue rather than the RNG: 0..2^20-1 ns (about 1 ms).
+std::int64_t next_delay(std::uint64_t& x) {
+  x = x * 6364136223846793005ull + 1442695040888963407ull;
+  return static_cast<std::int64_t>(x >> 44);
+}
+
+// Steady state at a fixed depth (the X1 capture world holds 5632 pending
+// events): each item pops the earliest event and schedules a successor.
+void BM_EventQueueHold(benchmark::State& state) {
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  sim::EventQueue q;
+  std::uint64_t x = depth;
+  for (std::size_t i = 0; i < depth; ++i) q.push(sim::SimTime::nanos(next_delay(x)), [] {});
+  for (auto _ : state) {
+    auto ev = q.pop();
+    benchmark::DoNotOptimize(ev.time);
+    q.push(ev.time + sim::Duration::nanos(next_delay(x)), std::move(ev.action));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueueHold)->Arg(5632);
+
+// AimdFlow::arm_timer's pattern beside `depth` other pending events: each
+// item dispatches one event, schedules its successor, cancels the pending
+// retransmission timer and arms a new one. The timer sits beyond every
+// other event, so only cancelled timers ever reach the top.
+void BM_EventQueueScheduleCancel(benchmark::State& state) {
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  constexpr std::int64_t kRtoNs = 1 << 21;
+  sim::EventQueue q;
+  std::uint64_t x = depth;
+  for (std::size_t i = 0; i < depth; ++i) q.push(sim::SimTime::nanos(next_delay(x)), [] {});
+  sim::EventId timer = q.push(sim::SimTime::nanos(kRtoNs), [] {});
+  for (auto _ : state) {
+    auto ev = q.pop();
+    benchmark::DoNotOptimize(ev.time);
+    q.push(ev.time + sim::Duration::nanos(next_delay(x)), std::move(ev.action));
+    if (!q.cancel(timer)) {
+      state.SkipWithError("the retransmission timer was not pending");
+      break;
+    }
+    timer = q.push(ev.time + sim::Duration::nanos(kRtoNs), [] {});
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueueScheduleCancel)->Arg(64)->Arg(5632);
+
 void BM_SimulatorEventDispatch(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator sim;

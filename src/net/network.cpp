@@ -1,6 +1,5 @@
 #include "net/network.hpp"
 
-#include <cassert>
 #include <stdexcept>
 
 #include "sim/exec_backend.hpp"
@@ -158,13 +157,14 @@ void Link::start_transmission(Direction& d) {
     d.tx_packets += 1;
     d.tx_bytes += pkt.size_bytes;
     const NodeId to = d.to;
+    const IfIndex ingress = d.ingress;
     // Propagation hands the packet to the receiving node's owner: on the
     // sharded backend a cross-AS hop rides the barrier inbox (propagation
     // delay >= the registered lookahead makes that legal), while a same-AS
     // hop stays on the owner's own queue. Serial execution is unaffected.
     net_->simulator().schedule_for(static_cast<sim::ShardId>(net_->node(to).as()), prop_,
                                    sim::TaskTag{"net.link", "propagate"},
-                                   [this, to, pkt = std::move(pkt)]() mutable {
+                                   [this, to, ingress, pkt = std::move(pkt)]() mutable {
       if (!up_) {
         net_->counters().dropped_link_down.add();
         if (auto* mp = net_->mem_profiler()) {
@@ -173,15 +173,9 @@ void Link::start_transmission(Direction& d) {
         span_link_drop(net_->spans(), net_->simulator().now(), pkt.uid, "link-down", id_, to);
         return;
       }
+      // This event runs as the receiving node's owner (schedule_for above).
       Node& dst = net_->node(to);
-      // Find the interface on the destination that corresponds to this link.
-      for (IfIndex i = 0; i < static_cast<IfIndex>(dst.interface_count()); ++i) {
-        if (dst.link_of(i) == id_) {
-          dst.receive(std::move(pkt), i);
-          return;
-        }
-      }
-      assert(false && "link endpoint has no matching interface");
+      dst.receive(std::move(pkt), ingress);
     });
     if (!d.queue->empty()) start_transmission(d);
   });
@@ -254,8 +248,11 @@ Link& Network::connect(NodeId a, NodeId b, double bits_per_second, sim::Duration
   const auto id = static_cast<LinkId>(links_.size());
   links_.push_back(std::make_unique<Link>(*this, id, a, b, bits_per_second, propagation, kind,
                                           queue_capacity));
-  node(a).attach_interface(id);
-  node(b).attach_interface(id);
+  // Each direction keeps the interface it arrives on, so propagation hands
+  // the packet straight to it.
+  Link& link = *links_.back();
+  link.dirs_[1].ingress = node(a).attach_interface(id);
+  link.dirs_[0].ingress = node(b).attach_interface(id);
   // Cross-AS propagation delays bound how early one owner can affect
   // another: the minimum becomes the sharded backend's barrier lookahead
   // (a no-op for same-AS pairs and on the serial backend).
@@ -268,7 +265,7 @@ Link& Network::connect(NodeId a, NodeId b, double bits_per_second, sim::Duration
     // ignored by register_link.
     sp->register_link(node(a).as(), node(b).as(), propagation);
   }
-  return *links_.back();
+  return link;
 }
 
 void Network::notify_delivered(const Packet& p, NodeId at) {

@@ -56,11 +56,14 @@ class Link {
   }
 
  private:
+  friend class Network;  // connect() records each direction's ingress interface
+
   struct Direction {
     NodeId from = kNoNode;
     NodeId to = kNoNode;
     std::unique_ptr<Queue> queue;
     bool transmitting = false;
+    IfIndex ingress = -1;  ///< the interface of `to` this direction arrives on
     std::uint64_t tx_packets = 0;
     std::uint64_t tx_bytes = 0;
   };

@@ -64,7 +64,9 @@ struct ExecCtx {
 };
 
 namespace detail {
-extern thread_local ExecCtx* t_exec_ctx;
+// constinit: statically initialized, so other TUs read it directly rather
+// than through a TLS init wrapper (which UBSan misreports as a null load).
+extern constinit thread_local ExecCtx* t_exec_ctx;
 void set_exec_ctx(ExecCtx* ctx) noexcept;
 }  // namespace detail
 
@@ -122,11 +124,6 @@ class ExecutionBackend {
   /// step throw std::logic_error.
   virtual bool step() = 0;
 
-  /// The Simulator re-attached or detached observability hooks
-  /// (profiler/auditor/scale/mem); backends refresh derived state (tag
-  /// recording on their queues).
-  virtual void on_hooks_changed() {}
-
   /// Modeled live bytes across every attached MemProfiler instance: the
   /// base profiler here; the sharded backend adds its per-owner lanes
   /// (safe from control events — workers are parked at the barrier).
@@ -148,7 +145,6 @@ class ExecutionBackend {
   bool stop_requested() const noexcept;
   void clear_stop() noexcept;
   void add_executed(std::size_t n) noexcept;
-  bool hooks_record_tags() const noexcept;
   LoopProfiler* profiler_hook() const noexcept;
   ShardAuditor* auditor_hook() const noexcept;
   ScaleProfiler* scale_hook() const noexcept;

@@ -52,7 +52,6 @@ void ShardedBackend::register_owner(ShardId owner) {
   // Namespace the owner's event ids so cancel() can route by id. Bits 40+
   // hold owner+1 (0 stays the control queue); bit 63 flags inbox-routed ids.
   lp->queue.set_id_base((static_cast<std::uint64_t>(owner) + 1) << 40);
-  lp->queue.record_tags(hooks_record_tags());
   lp->rng = Rng::stream(sim_seed(), owner);
   const auto pos = std::lower_bound(
       lps_.begin(), lps_.end(), owner,
@@ -224,12 +223,6 @@ std::size_t ShardedBackend::pending() const {
   std::size_t n = control_.size();
   for (const auto& lp : lps_) n += lp->queue.size();
   return n;
-}
-
-void ShardedBackend::on_hooks_changed() {
-  const bool on = hooks_record_tags();
-  control_.record_tags(on);
-  for (auto& lp : lps_) lp->queue.record_tags(on);
 }
 
 bool ShardedBackend::step() {

@@ -89,7 +89,6 @@ class ShardedBackend final : public ExecutionBackend {
   std::size_t run(SimTime horizon) override;
   /// Not meaningful under parallel execution; throws std::logic_error.
   bool step() override;
-  void on_hooks_changed() override;
   /// Base profiler plus every owner lane. Callers must be the coordinator
   /// or a control event (workers are parked, so lane reads are ordered by
   /// the barrier).

@@ -14,7 +14,7 @@ namespace tussle::sim {
 // ------------------------------------------------------- backend plumbing --
 
 namespace detail {
-thread_local ExecCtx* t_exec_ctx = nullptr;
+constinit thread_local ExecCtx* t_exec_ctx = nullptr;
 void set_exec_ctx(ExecCtx* ctx) noexcept { t_exec_ctx = ctx; }
 }  // namespace detail
 
@@ -30,10 +30,6 @@ void ExecutionBackend::clear_stop() noexcept {
   sim_->stopping_.store(false, std::memory_order_relaxed);
 }
 void ExecutionBackend::add_executed(std::size_t n) noexcept { sim_->executed_ += n; }
-bool ExecutionBackend::hooks_record_tags() const noexcept {
-  return sim_->profiler_ != nullptr || sim_->auditor_ != nullptr ||
-         sim_->scale_ != nullptr || sim_->mem_ != nullptr;
-}
 LoopProfiler* ExecutionBackend::profiler_hook() const noexcept { return sim_->profiler_; }
 ShardAuditor* ExecutionBackend::auditor_hook() const noexcept { return sim_->auditor_; }
 ScaleProfiler* ExecutionBackend::scale_hook() const noexcept { return sim_->scale_; }
@@ -86,7 +82,6 @@ void Simulator::set_backend(std::unique_ptr<ExecutionBackend> backend) {
         "before building the scenario");
   }
   backend_ = std::move(backend);
-  backend_->on_hooks_changed();
 }
 
 // ------------------------------------------------------ scheduling surface --

@@ -158,10 +158,7 @@ class Simulator {
   /// owned; must outlive the simulator or be detached first.
   void set_profiler(LoopProfiler* profiler) noexcept {
     profiler_ = profiler;
-    queue_.record_tags(profiler_ != nullptr || auditor_ != nullptr || scale_ != nullptr ||
-                       mem_ != nullptr);
     instrumented_ = profiler_ != nullptr || static_cast<bool>(heartbeat_);
-    backend_->on_hooks_changed();
   }
   LoopProfiler* profiler() const noexcept { return profiler_; }
 
@@ -171,12 +168,7 @@ class Simulator {
   /// shard (see sim/shard_audit.hpp). Not owned. Uninstrumented runs pay
   /// one null-pointer branch per event. Inside a sharded worker event the
   /// accessor returns the worker's per-owner lane.
-  void set_auditor(ShardAuditor* auditor) noexcept {
-    auditor_ = auditor;
-    queue_.record_tags(profiler_ != nullptr || auditor_ != nullptr || scale_ != nullptr ||
-                       mem_ != nullptr);
-    backend_->on_hooks_changed();
-  }
+  void set_auditor(ShardAuditor* auditor) noexcept { auditor_ = auditor; }
   ShardAuditor* auditor() const noexcept {
     const ExecCtx* c = current_exec_ctx();
     if (c != nullptr && c->sim == this) return c->auditor;
@@ -191,12 +183,7 @@ class Simulator {
   /// one every event lands on kNoShard. Not owned. Uninstrumented runs pay
   /// one null-pointer branch per schedule and per event. Inside a sharded
   /// worker event the accessor returns the worker's per-owner lane.
-  void set_scale_profiler(ScaleProfiler* scale) noexcept {
-    scale_ = scale;
-    queue_.record_tags(profiler_ != nullptr || auditor_ != nullptr || scale_ != nullptr ||
-                       mem_ != nullptr);
-    backend_->on_hooks_changed();
-  }
+  void set_scale_profiler(ScaleProfiler* scale) noexcept { scale_ = scale; }
   ScaleProfiler* scale_profiler() const noexcept {
     const ExecCtx* c = current_exec_ctx();
     if (c != nullptr && c->sim == this) return c->scale;
@@ -212,12 +199,7 @@ class Simulator {
   /// owned. Uninstrumented runs pay one null-pointer branch per schedule
   /// and per event. Inside a sharded worker event the accessor returns the
   /// worker's per-owner lane.
-  void set_mem_profiler(MemProfiler* mem) noexcept {
-    mem_ = mem;
-    queue_.record_tags(profiler_ != nullptr || auditor_ != nullptr || scale_ != nullptr ||
-                       mem_ != nullptr);
-    backend_->on_hooks_changed();
-  }
+  void set_mem_profiler(MemProfiler* mem) noexcept { mem_ = mem; }
   MemProfiler* mem_profiler() const noexcept {
     const ExecCtx* c = current_exec_ctx();
     if (c != nullptr && c->sim == this) return c->mem;
@@ -238,10 +220,7 @@ class Simulator {
   /// byte-identity contract and are emitted to their own files (see
   /// sim/exec_profile.hpp). Not owned. Detached runs pay one null-pointer
   /// branch per run and per barrier window, never per event.
-  void set_exec_profiler(ExecProfiler* exec) noexcept {
-    exec_ = exec;
-    backend_->on_hooks_changed();
-  }
+  void set_exec_profiler(ExecProfiler* exec) noexcept { exec_ = exec; }
   ExecProfiler* exec_profiler() const noexcept { return exec_; }
 
   /// One progress report, emitted every heartbeat period of *simulated*

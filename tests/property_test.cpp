@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "econ/market.hpp"
@@ -121,6 +122,129 @@ TEST_P(EventQueueFuzz, MatchesSortedOracle) {
     }
     EXPECT_EQ(q.size(), live.size());
   }
+}
+
+// Cancel-heavy mixes: every id ever handed out stays cancellable, so the
+// mix cancels fired events, cancels twice, and cancels stale ids whose slot
+// a later event now occupies. Times come from a narrow window, so ties are
+// common and cancelled events often sit on top of the heap. The oracle is
+// the set of live (time, push order) pairs.
+TEST_P(EventQueueFuzz, CancelHeavyMixMatchesOracle) {
+  sim::Rng rng(GetParam());
+  sim::EventQueue q;
+  struct Handle {
+    sim::EventId id;
+    std::int64_t time = 0;
+    bool live = true;
+  };
+  std::vector<Handle> handles;  // index = push order
+  std::set<std::pair<std::int64_t, std::size_t>> live;
+  std::vector<std::size_t> fired_order;
+  std::map<std::uint32_t, std::size_t> occupant;  // slot -> latest push into it
+  static const char* const kKinds[] = {"a", "b", "c", "d", "e"};
+  std::int64_t now = 0;
+  int stale_reused = 0, fired_cancels = 0, double_cancels = 0, tombstone_tops = 0;
+  for (int op = 0; op < 4000; ++op) {
+    const double r = rng.uniform();
+    if (r < 0.4 || live.empty()) {
+      const std::int64_t t = now + rng.uniform_int(0, 8);
+      const std::size_t k = handles.size();
+      const sim::EventId id =
+          q.push(sim::SimTime::nanos(t), [&fired_order, k] { fired_order.push_back(k); },
+                 sim::TaskTag{"fuzz", kKinds[k % 5]});
+      EXPECT_EQ(id.value, k + 1);
+      handles.push_back({id, t, true});
+      live.emplace(t, k);
+      occupant[id.slot] = k;
+    } else if (r < 0.75) {
+      const auto k = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(handles.size()) - 1));
+      Handle& h = handles[k];
+      const bool was_live = live.count({h.time, k}) != 0;
+      if (!was_live) {
+        const bool cancelled_before = !h.live;
+        if (occupant[h.id.slot] != k) {
+          ++stale_reused;
+        } else if (cancelled_before) {
+          ++double_cancels;
+        } else {
+          ++fired_cancels;
+        }
+      }
+      EXPECT_EQ(q.cancel(h.id), was_live) << "push " << k;
+      if (was_live) {
+        if (live.begin()->second == k) ++tombstone_tops;
+        live.erase({h.time, k});
+        h.live = false;
+      }
+    } else {
+      const auto want = *live.begin();
+      auto p = q.pop();
+      EXPECT_EQ(p.time.as_nanos(), want.first);
+      EXPECT_EQ(p.id, handles[want.second].id);
+      EXPECT_STREQ(p.tag.kind, kKinds[want.second % 5]);
+      p.action();
+      ASSERT_FALSE(fired_order.empty());
+      EXPECT_EQ(fired_order.back(), want.second);
+      live.erase(live.begin());
+      now = want.first;
+    }
+    ASSERT_EQ(q.size(), live.size());
+    ASSERT_EQ(q.empty(), live.empty());
+    if (!live.empty()) {
+      ASSERT_EQ(q.next_time().as_nanos(), live.begin()->first);
+    }
+  }
+  // The mix must actually reach every case it exists to cover.
+  EXPECT_GT(stale_reused, 0);
+  EXPECT_GT(fired_cancels, 0);
+  EXPECT_GT(double_cancels, 0);
+  EXPECT_GT(tombstone_tops, 0);
+}
+
+// Owner-namespaced ids (the sharded backend's scheme) keep the value
+// base + seq + 1 through pops, cancels and slot reuse, and a queue never
+// cancels an id from another owner's range. The queue grows past 1500
+// pending events, so slots beyond the arena's doubling blocks are in play,
+// and pops must still come out in (time, id) order.
+TEST_P(EventQueueFuzz, IdsAreBasePlusSeqPlusOne) {
+  sim::Rng rng(GetParam());
+  const std::uint64_t owner = GetParam() % 7;
+  const std::uint64_t base = (owner + 1) << 40;
+  sim::EventQueue q;
+  q.set_id_base(base);
+  sim::EventQueue other;
+  other.set_id_base((owner + 2) << 40);
+  std::vector<sim::EventId> ids;
+  std::int64_t now = 0;
+  std::pair<std::int64_t, std::uint64_t> last{-1, 0};
+  std::size_t peak = 0;
+  for (std::uint64_t seq = 0; seq < 3000; ++seq) {
+    const sim::EventId id = q.push(sim::SimTime::nanos(now + rng.uniform_int(0, 30)), [] {});
+    EXPECT_EQ(id.value, base + seq + 1);
+    EXPECT_EQ(id.value >> 40, owner + 1);
+    ids.push_back(id);
+    EXPECT_FALSE(other.cancel(id));
+    if (rng.bernoulli(0.3)) {
+      const auto pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1));
+      q.cancel(ids[pick]);
+    }
+    if (rng.bernoulli(0.3) && !q.empty()) {
+      const auto p = q.pop();
+      EXPECT_GT(p.id.value, base);
+      EXPECT_LE(p.id.value, base + seq + 1);
+      const std::pair at{p.time.as_nanos(), p.id.value};
+      EXPECT_LT(last, at);
+      last = at;
+      now = at.first;
+    }
+    peak = std::max(peak, q.size());
+  }
+  EXPECT_GT(peak, 1500u);
+  EXPECT_FALSE(q.cancel(sim::EventId{}));
+  EXPECT_FALSE(q.cancel(sim::EventId{base}));
+  EXPECT_FALSE(q.cancel(sim::EventId{base + 3001}));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueFuzz, ::testing::Values(11, 22, 33, 44));

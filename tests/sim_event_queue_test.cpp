@@ -40,6 +40,17 @@ TEST(EventQueue, PopReportsScheduledTime) {
   EXPECT_EQ(popped.time, SimTime::millis(7));
 }
 
+TEST(EventQueue, PopReturnsTheTag) {
+  // Tags live in the event's slot, whether or not an observer reads them.
+  EventQueue q;
+  q.push(SimTime::millis(2), [] {}, TaskTag{"net.link", "propagate"});
+  q.push(SimTime::millis(1), [] {});
+  EXPECT_EQ(q.pop().tag.kind, nullptr);
+  const auto p = q.pop();
+  EXPECT_STREQ(p.tag.component, "net.link");
+  EXPECT_STREQ(p.tag.kind, "propagate");
+}
+
 TEST(EventQueue, CancelPreventsExecution) {
   EventQueue q;
   int fired = 0;
