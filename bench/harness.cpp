@@ -214,15 +214,42 @@ std::optional<Flags> parse_flags(int argc, char** argv) {
   return f;
 }
 
-void write_json_report(const std::string& path, const Experiment& exp,
-                       const sim::MetricSnapshot& snap, std::uint64_t total_events,
-                       double wall_seconds, const std::string& hotspots_json) {
-  sim::JsonWriter w;
+/// Writes `content` to `path`; reports a failure on stderr and returns false
+/// (the caller exits 2).
+bool write_file(const std::string& path, const std::string& content) {
+  std::ofstream os(path);
+  if (!os) {
+    std::fprintf(stderr, "harness: cannot write %s\n", path.c_str());
+    return false;
+  }
+  os << content;
+  return true;
+}
+
+/// Opens a report object with its {"experiment": {id, section}} header.
+void begin_report(sim::JsonWriter& w, const Experiment& exp) {
   w.begin_object();
   w.key("experiment").begin_object();
   w.key("id").value(exp.id);
   w.key("section").value(exp.section);
   w.end_object();
+}
+
+/// {"experiment": ..., "<key>": report}: the scale, exec and mem exports.
+std::string keyed_report(const Experiment& exp, const char* key, const std::string& report) {
+  sim::JsonWriter w;
+  begin_report(w, exp);
+  w.key(key).raw(report);
+  w.end_object();
+  return w.str() + "\n";
+}
+
+/// The --json report: metrics, wall time, event totals and hotspots.
+std::string json_report(const Experiment& exp, const sim::MetricSnapshot& snap,
+                        std::uint64_t total_events, double wall_seconds,
+                        const std::string& hotspots_json) {
+  sim::JsonWriter w;
+  begin_report(w, exp);
   w.key("wall_seconds").value(wall_seconds);
   w.key("total_events").value(total_events);
   // Sim-less model benches legitimately dispatch zero events; null marks
@@ -239,13 +266,7 @@ void write_json_report(const std::string& path, const Experiment& exp,
   w.key("metrics").raw(snap.to_json());
   w.key("hotspots").raw(hotspots_json);
   w.end_object();
-
-  std::ofstream os(path);
-  if (!os) {
-    std::fprintf(stderr, "harness: cannot write %s\n", path.c_str());
-    return;
-  }
-  os << w.str() << "\n";
+  return w.str() + "\n";
 }
 
 }  // namespace
@@ -389,8 +410,7 @@ int run(int argc, char** argv, const Experiment& exp,
     std::fprintf(stderr, "%s\n", v.what());
     if (!flags->audit_json_path.empty()) {
       h.audit_.record_violation(v.access());
-      std::ofstream os(flags->audit_json_path);
-      if (os) os << h.audit_.report_json() << "\n";
+      write_file(flags->audit_json_path, h.audit_.report_json() + "\n");  // exit 1 either way
     }
     return 1;
   }
@@ -410,14 +430,12 @@ int run(int argc, char** argv, const Experiment& exp,
   }
 
   const std::uint64_t total_events = h.sweep_events_ + h.extra_events_;
+  const std::string dashboard_title = exp.id + " \xc2\xb7 " + exp.section;
 
   if (!flags->chrome_trace_path.empty()) {
-    std::ofstream os(flags->chrome_trace_path);
-    if (!os) {
-      std::fprintf(stderr, "harness: cannot write %s\n", flags->chrome_trace_path.c_str());
+    if (!write_file(flags->chrome_trace_path, sim::to_chrome_trace(h.spans_.spans()) + "\n")) {
       return 2;
     }
-    os << sim::to_chrome_trace(h.spans_.spans()) << "\n";
     std::printf("chrome trace: %zu spans -> %s\n", h.spans_.size(),
                 flags->chrome_trace_path.c_str());
   }
@@ -426,13 +444,8 @@ int run(int argc, char** argv, const Experiment& exp,
     const std::string report = sim::span_tree_report(h.spans_.spans());
     if (flags->span_tree_path == "-") {
       std::fputs(report.c_str(), stdout);
-    } else {
-      std::ofstream os(flags->span_tree_path);
-      if (!os) {
-        std::fprintf(stderr, "harness: cannot write %s\n", flags->span_tree_path.c_str());
-        return 2;
-      }
-      os << report;
+    } else if (!write_file(flags->span_tree_path, report)) {
+      return 2;
     }
   }
 
@@ -443,15 +456,6 @@ int run(int argc, char** argv, const Experiment& exp,
   if (h.timeseries_requested()) {
     std::size_t samples = 0;
     for (const auto& [name, ts] : h.timeseries_.items()) samples += ts.size();
-    auto write_file = [](const std::string& path, const std::string& content) {
-      std::ofstream os(path);
-      if (!os) {
-        std::fprintf(stderr, "harness: cannot write %s\n", path.c_str());
-        return false;
-      }
-      os << content;
-      return true;
-    };
     if (!flags->ts_csv_path.empty() &&
         !write_file(flags->ts_csv_path, h.timeseries_.to_csv())) {
       return 2;
@@ -462,8 +466,7 @@ int run(int argc, char** argv, const Experiment& exp,
     }
     if (!flags->dashboard_path.empty() &&
         !write_file(flags->dashboard_path,
-                    sim::timeseries_dashboard(h.timeseries_, exp.id + " \xc2\xb7 " +
-                                                                 exp.section))) {
+                    sim::timeseries_dashboard(h.timeseries_, dashboard_title))) {
       return 2;
     }
     std::printf("time series: %zu series, %zu samples\n", h.timeseries_.size(), samples);
@@ -475,13 +478,9 @@ int run(int argc, char** argv, const Experiment& exp,
                 h.audit_.events_audited(), h.audit_.mutations_checked(),
                 h.audit_.component_count(), h.audit_.shard_count(),
                 h.audit_.violations().size());
-    if (!flags->audit_json_path.empty()) {
-      std::ofstream os(flags->audit_json_path);
-      if (!os) {
-        std::fprintf(stderr, "harness: cannot write %s\n", flags->audit_json_path.c_str());
-        return 2;
-      }
-      os << h.audit_.report_json() << "\n";
+    if (!flags->audit_json_path.empty() &&
+        !write_file(flags->audit_json_path, h.audit_.report_json() + "\n")) {
+      return 2;
     }
     if (!h.audit_.violations().empty()) {
       std::fprintf(stderr, "%s\n", h.audit_.describe(h.audit_.violations().front()).c_str());
@@ -504,30 +503,15 @@ int run(int argc, char** argv, const Experiment& exp,
                 h.scale_.work_span_ratio(), real_shards, h.scale_.imbalance_ratio(),
                 static_cast<unsigned long long>(h.scale_.cross_shard_events()),
                 h.scale_.speedup_at(8));
-    if (!flags->scale_json_path.empty()) {
-      sim::JsonWriter w;
-      w.begin_object();
-      w.key("experiment").begin_object();
-      w.key("id").value(exp.id);
-      w.key("section").value(exp.section);
-      w.end_object();
-      w.key("scale").raw(h.scale_.report_json());
-      w.end_object();
-      std::ofstream os(flags->scale_json_path);
-      if (!os) {
-        std::fprintf(stderr, "harness: cannot write %s\n", flags->scale_json_path.c_str());
-        return 2;
-      }
-      os << w.str() << "\n";
+    if (!flags->scale_json_path.empty() &&
+        !write_file(flags->scale_json_path,
+                    keyed_report(exp, "scale", h.scale_.report_json()))) {
+      return 2;
     }
-    if (!flags->scale_dashboard_path.empty()) {
-      std::ofstream os(flags->scale_dashboard_path);
-      if (!os) {
-        std::fprintf(stderr, "harness: cannot write %s\n",
-                     flags->scale_dashboard_path.c_str());
-        return 2;
-      }
-      os << sim::scale_dashboard(h.scale_, exp.id + " \xc2\xb7 " + exp.section);
+    if (!flags->scale_dashboard_path.empty() &&
+        !write_file(flags->scale_dashboard_path,
+                    sim::scale_dashboard(h.scale_, dashboard_title))) {
+      return 2;
     }
   }
 
@@ -542,40 +526,21 @@ int run(int argc, char** argv, const Experiment& exp,
                 h.exec_.runs(), h.exec_.windows(), val.workers,
                 h.exec_.elapsed_seconds(), val.measured_speedup, val.predicted_speedup,
                 val.barrier_overhead_fraction * 100, val.dominant_loss);
-    if (!flags->exec_json_path.empty()) {
-      sim::JsonWriter w;
-      w.begin_object();
-      w.key("experiment").begin_object();
-      w.key("id").value(exp.id);
-      w.key("section").value(exp.section);
-      w.end_object();
-      w.key("exec").raw(h.exec_.report_json());
-      w.end_object();
-      std::ofstream os(flags->exec_json_path);
-      if (!os) {
-        std::fprintf(stderr, "harness: cannot write %s\n", flags->exec_json_path.c_str());
-        return 2;
-      }
-      os << w.str() << "\n";
+    if (!flags->exec_json_path.empty() &&
+        !write_file(flags->exec_json_path, keyed_report(exp, "exec", h.exec_.report_json()))) {
+      return 2;
     }
     if (!flags->exec_trace_path.empty()) {
-      std::ofstream os(flags->exec_trace_path);
-      if (!os) {
-        std::fprintf(stderr, "harness: cannot write %s\n", flags->exec_trace_path.c_str());
+      if (!write_file(flags->exec_trace_path, sim::exec_chrome_trace(h.exec_) + "\n")) {
         return 2;
       }
-      os << sim::exec_chrome_trace(h.exec_) << "\n";
       std::printf("exec trace: %zu runs -> %s\n", h.exec_.runs(),
                   flags->exec_trace_path.c_str());
     }
-    if (!flags->exec_dashboard_path.empty()) {
-      std::ofstream os(flags->exec_dashboard_path);
-      if (!os) {
-        std::fprintf(stderr, "harness: cannot write %s\n",
-                     flags->exec_dashboard_path.c_str());
-        return 2;
-      }
-      os << sim::exec_dashboard(h.exec_, exp.id + " \xc2\xb7 " + exp.section);
+    if (!flags->exec_dashboard_path.empty() &&
+        !write_file(flags->exec_dashboard_path,
+                    sim::exec_dashboard(h.exec_, dashboard_title))) {
+      return 2;
     }
   }
 
@@ -590,30 +555,13 @@ int run(int argc, char** argv, const Experiment& exp,
                 static_cast<unsigned long long>(h.mem_.actor_count()),
                 static_cast<unsigned long long>(h.mem_.alloc_count()),
                 h.mem_.allocs_per_event(), h.mem_.sites().size());
-    if (!flags->mem_json_path.empty()) {
-      sim::JsonWriter w;
-      w.begin_object();
-      w.key("experiment").begin_object();
-      w.key("id").value(exp.id);
-      w.key("section").value(exp.section);
-      w.end_object();
-      w.key("mem").raw(h.mem_.report_json());
-      w.end_object();
-      std::ofstream os(flags->mem_json_path);
-      if (!os) {
-        std::fprintf(stderr, "harness: cannot write %s\n", flags->mem_json_path.c_str());
-        return 2;
-      }
-      os << w.str() << "\n";
+    if (!flags->mem_json_path.empty() &&
+        !write_file(flags->mem_json_path, keyed_report(exp, "mem", h.mem_.report_json()))) {
+      return 2;
     }
-    if (!flags->mem_dashboard_path.empty()) {
-      std::ofstream os(flags->mem_dashboard_path);
-      if (!os) {
-        std::fprintf(stderr, "harness: cannot write %s\n",
-                     flags->mem_dashboard_path.c_str());
-        return 2;
-      }
-      os << sim::mem_dashboard(h.mem_, exp.id + " \xc2\xb7 " + exp.section);
+    if (!flags->mem_dashboard_path.empty() &&
+        !write_file(flags->mem_dashboard_path, sim::mem_dashboard(h.mem_, dashboard_title))) {
+      return 2;
     }
   }
 
@@ -623,9 +571,10 @@ int run(int argc, char** argv, const Experiment& exp,
                  h.profiler_.total_wall_seconds() * 1e3, h.profiler_.report().c_str());
   }
 
-  if (!flags->json_path.empty()) {
-    write_json_report(flags->json_path, exp, h.metrics_.snapshot(), total_events,
-                      wall_seconds, h.profiler_.hotspots_json());
+  if (!flags->json_path.empty() &&
+      !write_file(flags->json_path, json_report(exp, h.metrics_.snapshot(), total_events,
+                                                wall_seconds, h.profiler_.hotspots_json()))) {
+    return 2;
   }
   return 0;
 }

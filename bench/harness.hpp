@@ -234,7 +234,9 @@ class Harness {
 
 /// Parses flags, prints the banner, runs `body` (which declares cases via
 /// Harness::scenario), then emits whatever machine-readable output was
-/// requested. Returns the process exit code.
+/// requested. Returns the process exit code: 0 on success, 1 when the
+/// shard audit found a violation, 2 on bad flags or an output file that
+/// cannot be written.
 int run(int argc, char** argv, const Experiment& exp,
         const std::function<void(Harness&)>& body);
 

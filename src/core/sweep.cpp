@@ -101,12 +101,12 @@ std::vector<ParamPoint> ParamGrid::points() const {
 // ---------------------------------------------------------------- RunContext
 
 void RunContext::instrument(sim::Simulator& sim) {
-  // The backend must go in before the scenario schedules anything; hooks
-  // attach afterwards so set_* can propagate them to the new backend.
+  // The backend must go in before the scenario schedules anything.
+  // Observers nest in attach order: the auditor first (every end hook reads
+  // its claim), the loop profiler last, so it times only the handler.
   if (shards_ > 0) {
     sim.set_backend(std::make_unique<sim::ShardedBackend>(sim, shards_));
   }
-  if (profiler_ != nullptr) sim.set_profiler(profiler_);
   if (audit_ != nullptr) {
     audit_->set_span_tracer(spans_);  // violation reports carry the span, if any
     sim.set_auditor(audit_);
@@ -129,6 +129,7 @@ void RunContext::instrument(sim::Simulator& sim) {
                          [s] { return static_cast<double>(s->events_pending()); });
     }
   }
+  if (profiler_ != nullptr) sim.attach(profiler_);
   // --trace installs its JSONL sink on the process-global tracer, but
   // components built on this simulator log to its own per-run tracer;
   // mirror the global configuration so their records land in the same

@@ -38,7 +38,7 @@
 #include <functional>
 #include <vector>
 
-#include "sim/profiler.hpp"
+#include "sim/observer.hpp"
 #include "sim/time.hpp"
 
 namespace tussle::sim {

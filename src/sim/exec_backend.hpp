@@ -17,18 +17,22 @@
 //
 //  * ExecCtx — the per-thread execution context. Under the sharded
 //    backend every worker event runs with a context installed; Simulator
-//    accessors (now(), rng(), auditor(), scale_profiler()) resolve
-//    through it so component code is backend-agnostic. Serial execution
-//    never installs one, so the serial hot path pays a single
-//    thread-local load per accessor call.
+//    accessors (now(), rng(), auditor(), scale_profiler(),
+//    mem_profiler()) resolve through it so component code is
+//    backend-agnostic. Serial execution never installs one, so the serial
+//    hot path pays a single thread-local load per accessor call.
 //
-//  * shard_lane<T>() — per-owner copies of shared sink objects (packet
+//  * shard_lane<T>() — per-owner copies of shared state objects (packet
 //    counters, id sources, ...). Under the sharded backend each owner
 //    accumulates into its own lane, and lanes are folded into the base
 //    object in ascending owner order at barrier points and at the end of
 //    run(), so results are byte-identical at any shard count. Outside a
 //    sharded worker the call returns nullptr and the caller uses the
-//    base object directly.
+//    base object directly. (Observers get their lanes through
+//    Observer::make_lane instead; see sim/observer.hpp.)
+//
+// Both backends drive the simulator's observer list (Simulator::observers)
+// through the fan-out helpers in sim/observer.hpp.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +45,6 @@
 namespace tussle::sim {
 
 class Simulator;
-class LoopProfiler;
 class ScaleProfiler;
 class ExecProfiler;
 class MemProfiler;
@@ -145,11 +148,12 @@ class ExecutionBackend {
   bool stop_requested() const noexcept;
   void clear_stop() noexcept;
   void add_executed(std::size_t n) noexcept;
-  LoopProfiler* profiler_hook() const noexcept;
+  /// The typed observers the simulator itself has attached (its base
+  /// instances, whatever the calling thread); nullptr when detached.
   ShardAuditor* auditor_hook() const noexcept;
   ScaleProfiler* scale_hook() const noexcept;
-  ExecProfiler* exec_hook() const noexcept;
   MemProfiler* mem_hook() const noexcept;
+  ExecProfiler* exec_hook() const noexcept;
   /// Heartbeat support for non-serial backends: true when a heartbeat is
   /// configured, reset at run() start, and a tick the coordinator calls
   /// between barrier windows (emits at most one line per heartbeat period
@@ -163,9 +167,8 @@ class ExecutionBackend {
   Simulator* sim_;
 };
 
-/// Today's dispatch loop: one global (time, sequence) order, support for
-/// the loop profiler, heartbeat, auditor, and scale profiler exactly as
-/// the pre-split Simulator ran them.
+/// The single-threaded dispatch loop: one global (time, sequence) order,
+/// the observer list and the heartbeat driven per event.
 class SerialBackend final : public ExecutionBackend {
  public:
   explicit SerialBackend(Simulator& sim) noexcept : ExecutionBackend(sim) {}

@@ -38,18 +38,18 @@
 //    so exports are byte-identical at any --jobs; on the sharded backend
 //    each owner lane records into its own instance and lanes fold in
 //    ascending-owner order, so exports are byte-identical at any --shards;
-//  - an unattached profiler costs the simulator one null-pointer branch
-//    per hook site (the pointer, not this class, is the guard).
+//  - the profiler is a sim::Observer: a simulator with no observer
+//    attached pays one empty-list branch per event.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "sim/profiler.hpp"
-#include "sim/shard_audit.hpp"
+#include "sim/observer.hpp"
 #include "sim/time.hpp"
 
 namespace tussle::sim {
@@ -70,7 +70,7 @@ inline constexpr std::uint64_t kEventControlBlockBytes = 96;
 /// queue / arena refactor aims to cut it to 1.
 inline constexpr std::uint64_t kDispatchChaseHops = 3;
 
-class MemProfiler {
+class MemProfiler : public Observer {
  public:
   // --- configuration (set before recording) -------------------------------
   /// Tick interval for the live-bytes timeline grid (default 10 ms of sim
@@ -78,23 +78,27 @@ class MemProfiler {
   void set_tick(Duration tick);
   Duration tick() const noexcept { return tick_; }
 
-  // --- simulator hooks -----------------------------------------------------
+  // --- observer hooks ------------------------------------------------------
   /// An event was scheduled: counts one event-control-block allocation
   /// under "sim.event/<component>" and opens its schedule→dispatch/cancel
   /// lifetime.
-  void on_schedule(std::uint64_t id, SimTime now, SimTime at, const TaskTag& tag);
+  void on_schedule(std::uint64_t id, SimTime now, SimTime at, const TaskTag& tag,
+                   ShardId origin) override;
   /// A pending event was cancelled before firing: closes its lifetime into
   /// the cancelled histogram and frees its control block.
-  void on_cancel(std::uint64_t id, SimTime now);
+  void on_cancel(std::uint64_t id, SimTime now) override;
   /// Dispatch is about to run event `id`: closes its lifetime into the
   /// dispatched histogram, frees its control block, samples event-queue
   /// occupancy, and opens the per-dispatch chase/churn window.
   void begin_event(std::uint64_t id, SimTime now, std::size_t queue_depth,
-                   const TaskTag& tag);
+                   const TaskTag& tag) override;
   /// The event's handler returned; `shard` is the shard the ShardAuditor
   /// saw claim it (kNoShard when unclaimed or no auditor is attached).
   /// Attributes the dispatch's live-bytes delta to that shard.
-  void end_event(ShardId shard);
+  void end_event(ShardId shard) override;
+  /// A lane is an empty profiler at the default tick.
+  std::unique_ptr<Observer> make_lane() const override;
+  void fold(const Observer& lane) override;
 
   // --- accounting hooks (components) ---------------------------------------
   /// Counts one long-lived actor of `kind` at an estimated resident size;

@@ -110,4 +110,22 @@ void LoopProfiler::reset() noexcept {
   total_wall_ = 0;
 }
 
+void LoopProfiler::begin_event(std::uint64_t /*id*/, SimTime /*now*/,
+                               std::size_t /*queue_depth*/, const TaskTag& tag) {
+  cur_tag_ = tag;
+  cur_start_ = wall_now_seconds();
+}
+
+void LoopProfiler::end_event(ShardId /*claimed*/) {
+  record(cur_tag_, wall_now_seconds() - cur_start_);
+}
+
+std::unique_ptr<Observer> LoopProfiler::make_lane() const {
+  return std::make_unique<LoopProfiler>();
+}
+
+void LoopProfiler::fold(const Observer& lane) {
+  merge(static_cast<const LoopProfiler&>(lane));
+}
+
 }  // namespace tussle::sim

@@ -3,17 +3,22 @@
 //
 // Call sites label their scheduled events with a TaskTag (two static
 // string literals: component and event kind). When a profiler is attached
-// to a Simulator, every dispatched event is attributed to its tag with a
-// count and wall-clock duration; hotspot reports rank (component, kind)
-// cells by time. Profiling is off by default: an un-attached simulator
-// pays one branch per event, and wall-clock time is only ever *reported*,
-// never fed back into simulation decisions, so attaching the profiler
-// cannot perturb bit-exact replay.
+// to a Simulator (Simulator::attach), every dispatched event is attributed
+// to its tag with a count and wall-clock duration; hotspot reports rank
+// (component, kind) cells by time. Attach it after every other observer so
+// its interval brackets only the handler (see sim/observer.hpp).
+// Profiling is off by default: a simulator with no observer pays one
+// empty-list branch per event, and wall-clock time is only ever
+// *reported*, never fed back into simulation decisions, so attaching the
+// profiler cannot perturb bit-exact replay.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
+
+#include "sim/observer.hpp"
 
 namespace tussle::sim {
 
@@ -21,14 +26,7 @@ namespace tussle::sim {
 /// never influence event ordering or any simulated outcome.
 double wall_now_seconds() noexcept;
 
-/// Label for a scheduled event. Both pointers must be string literals (or
-/// otherwise outlive the simulation); the default tag is "(untagged)".
-struct TaskTag {
-  const char* component = nullptr;
-  const char* kind = nullptr;
-};
-
-class LoopProfiler {
+class LoopProfiler : public Observer {
  public:
   struct Hotspot {
     std::string component;
@@ -63,6 +61,13 @@ class LoopProfiler {
 
   void reset() noexcept;
 
+  // --- observer hooks: time the handler between begin and end -------------
+  void begin_event(std::uint64_t id, SimTime now, std::size_t queue_depth,
+                   const TaskTag& tag) override;
+  void end_event(ShardId claimed) override;
+  std::unique_ptr<Observer> make_lane() const override;
+  void fold(const Observer& lane) override;
+
  private:
   struct Cell {
     const char* component = nullptr;
@@ -74,6 +79,8 @@ class LoopProfiler {
   std::vector<Cell> cells_;
   std::uint64_t total_events_ = 0;
   double total_wall_ = 0;
+  TaskTag cur_tag_;         ///< the dispatching event's tag
+  double cur_start_ = 0;    ///< wall time its handler started
 };
 
 }  // namespace tussle::sim

@@ -42,23 +42,23 @@
 //    ordered containers, so reports are byte-identical across runs;
 //  - sweep runs record into per-run instances merged in run-index order,
 //    so exports are byte-identical at any --jobs;
-//  - an unattached profiler costs the simulator one null-pointer branch
-//    per hook site (the pointer, not this class, is the guard).
+//  - the profiler is a sim::Observer: a simulator with no observer
+//    attached pays one empty-list branch per event.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "sim/profiler.hpp"
-#include "sim/shard_audit.hpp"
+#include "sim/observer.hpp"
 #include "sim/time.hpp"
 
 namespace tussle::sim {
 
-class ScaleProfiler {
+class ScaleProfiler : public Observer {
  public:
   // --- configuration (set before recording) -------------------------------
   /// Tick interval for the shard-load time grid (default 10 ms of sim
@@ -66,22 +66,25 @@ class ScaleProfiler {
   void set_tick(Duration tick);
   Duration tick() const noexcept { return tick_; }
 
-  // --- simulator hooks -----------------------------------------------------
+  // --- observer hooks ------------------------------------------------------
   /// An event was scheduled: `id` is the EventId value, `now` the schedule
   /// time, `at` the fire time, `origin` the shard the scheduling event had
   /// claimed (kNoShard during setup). Records causal depth, origin, and
   /// event-allocation churn per component.
   void on_schedule(std::uint64_t id, SimTime now, SimTime at, const TaskTag& tag,
-                   ShardId origin);
+                   ShardId origin) override;
   /// A pending event was cancelled before firing.
-  void on_cancel(std::uint64_t id);
+  void on_cancel(std::uint64_t id, SimTime now) override;
   /// Dispatch is about to run event `id`; `queue_depth` is the number of
   /// events still pending (sampled into the queue-depth histogram).
   void begin_event(std::uint64_t id, SimTime now, std::size_t queue_depth,
-                   const TaskTag& tag);
+                   const TaskTag& tag) override;
   /// The event's handler returned; `shard` is the shard the ShardAuditor
   /// saw claim it (kNoShard when unclaimed or no auditor is attached).
-  void end_event(ShardId shard);
+  void end_event(ShardId shard) override;
+  /// A lane is an empty profiler at the default tick.
+  std::unique_ptr<Observer> make_lane() const override;
+  void fold(const Observer& lane) override;
 
   // --- world-registration hooks (Network / component builders) ------------
   /// Registers a link between two provisional shards with its propagation

@@ -14,7 +14,8 @@ std::string shard_name(ShardId s) {
 
 }  // namespace
 
-void ShardAuditor::begin_event(SimTime now, const TaskTag& tag) {
+void ShardAuditor::begin_event(std::uint64_t /*id*/, SimTime now,
+                               std::size_t /*queue_depth*/, const TaskTag& tag) {
   ++events_;
   current_ = kNoShard;
   in_event_ = true;
@@ -25,7 +26,7 @@ void ShardAuditor::begin_event(SimTime now, const TaskTag& tag) {
   event_kind_ = tag.kind;
 }
 
-void ShardAuditor::end_event() {
+void ShardAuditor::end_event(ShardId /*claimed*/) {
   // Without this, claims made *between* runs (phase-two scenario setup
   // after a sim.run() has drained) would be attributed to whichever shard
   // the final event of the previous run had claimed.
@@ -34,6 +35,14 @@ void ShardAuditor::end_event() {
   control_name_ = nullptr;
   current_ = kNoShard;
 }
+
+std::unique_ptr<Observer> ShardAuditor::make_lane() const {
+  auto lane = std::make_unique<ShardAuditor>();
+  lane->set_fail_fast(fail_fast_);
+  return lane;
+}
+
+void ShardAuditor::fold(const Observer& lane) { merge(static_cast<const ShardAuditor&>(lane)); }
 
 void ShardAuditor::declare_control_event(const char* name) {
   in_control_ = true;

@@ -9,9 +9,10 @@
 // scheduler from its workers. This auditor proves the invariant dynamically:
 //
 //  - every Node/Link/actor registers under a provisional ShardId (its AS);
-//  - Simulator dispatch calls begin_event() so each event starts with an
-//    *unclaimed* shard context; the first component whose handler runs
-//    claims the event for its shard;
+//  - the auditor is a sim::Observer: dispatch calls begin_event() so each
+//    event starts with an *unclaimed* shard context; the first component
+//    whose handler runs claims the event for its shard, and the other
+//    observers' end hooks receive that claim;
 //  - instrumented mutation points (Node/Link accessors, forwarding-table
 //    writes, Ledger transfers) call check_mutation(); a mutation of state
 //    owned by a different shard than the claimant fails fast with a causal
@@ -21,35 +22,27 @@
 //    shard instead of failing, so the report maps exactly which merge
 //    points the PDES refactor must make shard-local-then-merge.
 //
-// Cost contract: identical to SpanTracer — uninstrumented runs pay one
-// null-pointer branch per hook site (the pointer, not this class, is the
-// guard), and the auditor never schedules, samples a clock, or draws
-// randomness, so enabling it cannot change the event sequence. The report
-// is a pure function of the event sequence: byte-identical across runs.
+// Cost contract: an unaudited run pays one empty-list branch per event in
+// the dispatch loop and one null-pointer branch per component hook site
+// (the pointer, not this class, is the guard), and the auditor never
+// schedules, samples a clock, or draws randomness, so enabling it cannot
+// change the event sequence. The report is a pure function of the event
+// sequence: byte-identical across runs.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "sim/profiler.hpp"
+#include "sim/observer.hpp"
 #include "sim/span.hpp"
 #include "sim/time.hpp"
 
 namespace tussle::sim {
-
-/// Provisional shard identifier. The AS id doubles as the shard id — the
-/// partition the PDES design will start from.
-using ShardId = std::uint32_t;
-/// Sentinel: no shard claimed yet (event prologue, or setup code running
-/// outside any dispatched event).
-inline constexpr ShardId kNoShard = 0xFFFFFFFFu;
-/// Sentinel: state declared shared across shards (Ledger, merge sinks).
-/// Mutations are tallied per accessing shard instead of checked.
-inline constexpr ShardId kSharedShard = 0xFFFFFFFEu;
 
 /// One audited mutation that crossed (or legally entered) a shard.
 struct ShardAccess {
@@ -76,18 +69,23 @@ class ShardViolation : public std::runtime_error {
   ShardAccess access_;
 };
 
-class ShardAuditor {
+class ShardAuditor : public Observer {
  public:
-  // --- simulator hook -----------------------------------------------------
-  /// Called by Simulator dispatch before each event fires: resets the
-  /// claimed shard and remembers the event's tag/time for causal reports.
-  void begin_event(SimTime now, const TaskTag& tag);
+  // --- observer hooks -----------------------------------------------------
+  /// Called by dispatch before each event fires: resets the claimed shard
+  /// and remembers the event's tag/time for causal reports.
+  void begin_event(std::uint64_t id, SimTime now, std::size_t queue_depth,
+                   const TaskTag& tag) override;
 
-  /// Called by Simulator dispatch after each event's handler returns:
-  /// closes the shard context so code running *between* events — or between
-  /// two run() calls, as phase-structured benches do — is classified as
-  /// setup again rather than inheriting the last event's claimed shard.
-  void end_event();
+  /// Called by dispatch after each event's handler returns: closes the
+  /// shard context so code running *between* events — or between two run()
+  /// calls, as phase-structured benches do — is classified as setup again
+  /// rather than inheriting the last event's claimed shard.
+  void end_event(ShardId claimed) override;
+
+  /// A lane is an empty auditor with this one's fail-fast setting.
+  std::unique_ptr<Observer> make_lane() const override;
+  void fold(const Observer& lane) override;
 
   // --- shard context ------------------------------------------------------
   /// A component's handler announces it is running: claims the current
@@ -182,5 +180,10 @@ class ShardAuditor {
   std::map<std::pair<std::string, std::string>, std::uint64_t> control_;
   std::vector<ShardAccess> violations_;
 };
+
+/// The shard `auditor` saw claim the current event; kNoShard without one.
+inline ShardId claim_of(const ShardAuditor* auditor) noexcept {
+  return auditor != nullptr ? auditor->current() : kNoShard;
+}
 
 }  // namespace tussle::sim

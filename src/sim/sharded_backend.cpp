@@ -8,6 +8,8 @@
 #include <thread>
 #include <utility>
 
+#include "sim/mem_profile.hpp"
+#include "sim/scale_profile.hpp"
 #include "sim/simulator.hpp"
 
 namespace tussle::sim {
@@ -23,6 +25,15 @@ class CtxGuard {
   CtxGuard(const CtxGuard&) = delete;
   CtxGuard& operator=(const CtxGuard&) = delete;
 };
+
+/// A worker event's push into its own owner's queue, recorded by the
+/// owner's lanes with the lane auditor's claim as origin.
+EventId push_owned(ShardedBackend::Lp& lp, SimTime now, SimTime at, TaskTag tag,
+                   EventQueue::Action action) {
+  const EventId id = lp.queue.push(at, std::move(action), tag);
+  observe_schedule(lp.observers, id.value, now, at, tag, claim_of(lp.audit));
+  return id;
+}
 
 }  // namespace
 
@@ -86,24 +97,10 @@ ShardedBackend::Lp& ShardedBackend::lp_for(ShardId owner) {
 
 // ------------------------------------------------------------- scheduling --
 
-EventId ShardedBackend::push_control(SimTime at, TaskTag tag, EventQueue::Action action) {
-  const EventId id = control_.push(at, std::move(action), tag);
-  if (ScaleProfiler* sc = scale_hook()) {
-    ShardAuditor* au = auditor_hook();
-    sc->on_schedule(id.value, base_now(), at, tag, au != nullptr ? au->current() : kNoShard);
-  }
-  if (MemProfiler* mm = mem_hook()) mm->on_schedule(id.value, base_now(), at, tag);
-  return id;
-}
-
-EventId ShardedBackend::push_direct(Lp& lp, SimTime at, TaskTag tag,
-                                    EventQueue::Action action) {
-  const EventId id = lp.queue.push(at, std::move(action), tag);
-  if (ScaleProfiler* sc = scale_hook()) {
-    ShardAuditor* au = auditor_hook();
-    sc->on_schedule(id.value, base_now(), at, tag, au != nullptr ? au->current() : kNoShard);
-  }
-  if (MemProfiler* mm = mem_hook()) mm->on_schedule(id.value, base_now(), at, tag);
+EventId ShardedBackend::push_base(EventQueue& queue, SimTime at, TaskTag tag,
+                                  EventQueue::Action action) {
+  const EventId id = queue.push(at, std::move(action), tag);
+  observe_schedule(sim().observers(), id.value, base_now(), at, tag, claim_of(auditor_hook()));
   return id;
 }
 
@@ -111,18 +108,11 @@ EventId ShardedBackend::schedule(SimTime at, TaskTag tag, EventQueue::Action act
   ExecCtx* c = current_exec_ctx();
   if (c != nullptr && c->sim == &sim() && c->lp != nullptr) {
     // A worker event scheduling for its own owner: plain per-owner push.
-    Lp& lp = *static_cast<Lp*>(c->lp);
-    const EventId id = lp.queue.push(at, std::move(action), tag);
-    if (scale_hook() != nullptr) {
-      lp.scale.on_schedule(id.value, c->now, at, tag,
-                           auditor_hook() != nullptr ? lp.audit.current() : kNoShard);
-    }
-    if (mem_hook() != nullptr) lp.mem.on_schedule(id.value, c->now, at, tag);
-    return id;
+    return push_owned(*static_cast<Lp*>(c->lp), c->now, at, tag, std::move(action));
   }
   // Setup code or a control event: global work runs on the control queue at
   // a barrier, with every shard quiescent.
-  return push_control(at, std::move(tag), std::move(action));
+  return push_base(control_, at, tag, std::move(action));
 }
 
 EventId ShardedBackend::schedule_for(ShardId owner, SimTime at, TaskTag tag,
@@ -133,21 +123,13 @@ EventId ShardedBackend::schedule_for(ShardId owner, SimTime at, TaskTag tag,
     // Setup or control context: the world is quiescent, push directly into
     // the owner's queue (deterministic — single-threaded by construction).
     if (owner == kNoShard || owner == kSharedShard) {
-      return push_control(at, std::move(tag), std::move(action));
+      return push_base(control_, at, tag, std::move(action));
     }
-    return push_direct(lp_for(owner), at, std::move(tag), std::move(action));
+    return push_base(lp_for(owner).queue, at, tag, std::move(action));
   }
 
   Lp& src = *static_cast<Lp*>(c->lp);
-  if (owner == src.owner) {
-    const EventId id = src.queue.push(at, std::move(action), tag);
-    if (scale_hook() != nullptr) {
-      src.scale.on_schedule(id.value, c->now, at, tag,
-                            auditor_hook() != nullptr ? src.audit.current() : kNoShard);
-    }
-    if (mem_hook() != nullptr) src.mem.on_schedule(id.value, c->now, at, tag);
-    return id;
-  }
+  if (owner == src.owner) return push_owned(src, c->now, at, tag, std::move(action));
 
   // Cross-owner (or owner-less control) message from a worker event: park it
   // in the per-destination outbox; the destination drains, sorts by
@@ -174,7 +156,7 @@ EventId ShardedBackend::schedule_for(ShardId owner, SimTime at, TaskTag tag,
   m.seq = seq;
   m.tag = tag;
   m.action = std::move(action);
-  m.origin = auditor_hook() != nullptr ? src.audit.current() : kNoShard;
+  m.origin = claim_of(src.audit);
   m.sent = c->now;
   src.outbox[slot].push_back(std::move(m));
   // A synthetic, non-cancellable id: the destination assigns the real one
@@ -186,37 +168,27 @@ bool ShardedBackend::cancel(EventId id) {
   if (id.value == 0 || (id.value & kRemoteId) != 0) return false;  // inbox-routed
   const std::uint64_t owner_p1 = id.value >> 40;
   ExecCtx* c = current_exec_ctx();
-  const bool worker = c != nullptr && c->sim == &sim() && c->lp != nullptr;
+  Lp* const worker = c != nullptr && c->sim == &sim() ? static_cast<Lp*>(c->lp) : nullptr;
+  EventQueue* queue = &control_;
   if (owner_p1 == 0) {
-    if (worker) return false;  // the control queue belongs to the coordinator
-    const bool ok = control_.cancel(id);
-    if (ok && scale_hook() != nullptr) scale_hook()->on_cancel(id.value);
-    if (ok && mem_hook() != nullptr) mem_hook()->on_cancel(id.value, base_now());
-    return ok;
+    if (worker != nullptr) return false;  // the control queue belongs to the coordinator
+  } else {
+    const auto it = index_.find(static_cast<ShardId>(owner_p1 - 1));
+    if (it == index_.end()) return false;
+    Lp& lp = *lps_[it->second];
+    if (worker != nullptr && worker != &lp) return false;  // cross-owner cancel would race
+    queue = &lp.queue;
   }
-  const auto it = index_.find(static_cast<ShardId>(owner_p1 - 1));
-  if (it == index_.end()) return false;
-  Lp& lp = *lps_[it->second];
-  if (worker && c->lp != &lp) return false;  // cross-owner cancel would race
-  const bool ok = lp.queue.cancel(id);
-  if (ok && scale_hook() != nullptr) {
-    if (worker) {
-      lp.scale.on_cancel(id.value);
-    } else {
-      scale_hook()->on_cancel(id.value);
-    }
+  if (!queue->cancel(id)) return false;
+  // Route like the schedule did: worker pushes were recorded by the owner's
+  // lanes, setup/control pushes by the simulator's own observers — so the
+  // pending-event bookkeeping (lifetime + control-block free) matches.
+  if (worker != nullptr) {
+    observe_cancel(worker->observers, id.value, c->now);
+  } else {
+    observe_cancel(sim().observers(), id.value, base_now());
   }
-  if (ok && mem_hook() != nullptr) {
-    // Route like the schedule did: worker pushes recorded in the lane,
-    // setup/control pushes (push_direct) in the base profiler — so the
-    // pending-event bookkeeping (lifetime + control-block free) matches.
-    if (worker) {
-      lp.mem.on_cancel(id.value, c->now);
-    } else {
-      mem_hook()->on_cancel(id.value, base_now());
-    }
-  }
-  return ok;
+  return true;
 }
 
 std::size_t ShardedBackend::pending() const {
@@ -235,17 +207,13 @@ bool ShardedBackend::step() {
 
 std::size_t ShardedBackend::process_lp(Lp& lp, SimTime window_end,
                                        ExecProfiler::WorkerLane* xl) {
-  const bool audit = auditor_hook() != nullptr;
-  const bool scale = scale_hook() != nullptr;
-  const bool mem = mem_hook() != nullptr;
-  const bool prof = profiler_hook() != nullptr;
   ExecCtx ctx;
   ctx.sim = &sim();
   ctx.lp = &lp;
   ctx.rng = &lp.rng;
-  ctx.auditor = audit ? &lp.audit : nullptr;
-  ctx.scale = scale ? &lp.scale : nullptr;
-  ctx.mem = mem ? &lp.mem : nullptr;
+  ctx.auditor = lp.audit;
+  ctx.scale = lp.scale;
+  ctx.mem = lp.mem;
   ctx.owner = lp.owner;
   CtxGuard guard(&ctx);
   std::size_t n = 0;
@@ -254,20 +222,13 @@ std::size_t ShardedBackend::process_lp(Lp& lp, SimTime window_end,
     auto ev = lp.queue.pop();
     lp.lp_now = ev.time;
     ctx.now = ev.time;
-    if (audit) lp.audit.begin_event(ev.time, ev.tag);
-    if (scale) lp.scale.begin_event(ev.id.value, ev.time, lp.queue.size(), ev.tag);
-    if (mem) lp.mem.begin_event(ev.id.value, ev.time, lp.queue.size(), ev.tag);
-    if (prof) {
-      const double t0 = wall_now_seconds();
+    if (lp.observers.empty()) {
       ev.action();
-      lp.prof.record(ev.tag, wall_now_seconds() - t0);
     } else {
+      observe_begin(lp.observers, ev.id.value, ev.time, lp.queue.size(), ev.tag);
       ev.action();
+      observe_end(lp.observers, claim_of(lp.audit));
     }
-    // Both profilers read the auditor's claim before end_event resets it.
-    if (mem) lp.mem.end_event(audit ? lp.audit.current() : kNoShard);
-    if (scale) lp.scale.end_event(audit ? lp.audit.current() : kNoShard);
-    if (audit) lp.audit.end_event();
     ++lp.executed;
     ++n;
     if (stop_requested()) break;  // finish no more events; the window still barriers
@@ -297,8 +258,6 @@ void ShardedBackend::drain_lp(std::size_t index, Lp& dst, ExecProfiler::WorkerLa
     if (a.src != b.src) return a.src < b.src;
     return a.seq < b.seq;
   });
-  const bool scale = scale_hook() != nullptr;
-  const bool mem = mem_hook() != nullptr;
   for (auto& m : msgs) {
     if (m.at < dst.lp_now) {
       throw std::logic_error(
@@ -312,8 +271,7 @@ void ShardedBackend::drain_lp(std::size_t index, Lp& dst, ExecProfiler::WorkerLa
           "lookahead ahead");
     }
     const EventId id = dst.queue.push(m.at, std::move(m.action), m.tag);
-    if (scale) dst.scale.on_schedule(id.value, m.sent, m.at, m.tag, m.origin);
-    if (mem) dst.mem.on_schedule(id.value, m.sent, m.at, m.tag);
+    observe_schedule(dst.observers, id.value, m.sent, m.at, m.tag, m.origin);
   }
 }
 
@@ -335,12 +293,9 @@ void ShardedBackend::drain_control_inbox() {
     if (a.src != b.src) return a.src < b.src;
     return a.seq < b.seq;
   });
-  const bool scale = scale_hook() != nullptr;
-  MemProfiler* const mm = mem_hook();
   for (auto& m : msgs) {
     const EventId id = control_.push(m.at, std::move(m.action), m.tag);
-    if (scale) scale_hook()->on_schedule(id.value, m.sent, m.at, m.tag, m.origin);
-    if (mm != nullptr) mm->on_schedule(id.value, m.sent, m.at, m.tag);
+    observe_schedule(sim().observers(), id.value, m.sent, m.at, m.tag, m.origin);
   }
 }
 
@@ -353,38 +308,26 @@ std::size_t ShardedBackend::run_control_at(SimTime tc) {
   fold_state_lanes();
   const double xt1 = ex != nullptr ? wall_now_seconds() : 0;
   std::size_t n = 0;
-  ShardAuditor* au = auditor_hook();
-  ScaleProfiler* sc = scale_hook();
-  MemProfiler* mm = mem_hook();
-  LoopProfiler* pr = profiler_hook();
+  ShardAuditor* const au = auditor_hook();
+  const std::vector<Observer*>& observers = sim().observers();
   ExecCtx ctx;
   ctx.sim = &sim();
   ctx.control = true;
   ctx.rng = &base_rng();
   ctx.auditor = au;
-  ctx.scale = sc;
-  ctx.mem = mm;
+  ctx.scale = scale_hook();
+  ctx.mem = mem_hook();
   CtxGuard guard(&ctx);
   while (!control_.empty() && control_.next_time() == tc && !stop_requested()) {
     auto ev = control_.pop();
     set_base_now(ev.time);
     ctx.now = ev.time;
+    observe_begin(observers, ev.id.value, ev.time, control_.size(), ev.tag);
     if (au != nullptr) {
-      au->begin_event(ev.time, ev.tag);
       au->declare_control_event(ev.tag.kind != nullptr ? ev.tag.kind : "control");
     }
-    if (sc != nullptr) sc->begin_event(ev.id.value, ev.time, control_.size(), ev.tag);
-    if (mm != nullptr) mm->begin_event(ev.id.value, ev.time, control_.size(), ev.tag);
-    if (pr != nullptr) {
-      const double t0 = wall_now_seconds();
-      ev.action();
-      pr->record(ev.tag, wall_now_seconds() - t0);
-    } else {
-      ev.action();
-    }
-    if (mm != nullptr) mm->end_event(au != nullptr ? au->current() : kNoShard);
-    if (sc != nullptr) sc->end_event(au != nullptr ? au->current() : kNoShard);
-    if (au != nullptr) au->end_event();
+    ev.action();
+    observe_end(observers, claim_of(au));
     ++n;
   }
   if (ex != nullptr) ex->record_control(xt0, xt1 - xt0, wall_now_seconds() - xt1, n);
@@ -420,8 +363,8 @@ void* shard_lane_raw(Simulator& sim, void* base, LaneMakeFn make, LaneFoldFn fol
 
 std::int64_t ShardedBackend::mem_live_bytes() const {
   std::int64_t total = ExecutionBackend::mem_live_bytes();
-  if (mem_hook() != nullptr) {
-    for (const auto& lp : lps_) total += lp->mem.live_bytes();
+  for (const auto& lp : lps_) {
+    if (lp->mem != nullptr) total += lp->mem->live_bytes();
   }
   return total;
 }
@@ -434,33 +377,35 @@ void ShardedBackend::fold_state_lanes() {
   }
 }
 
-void ShardedBackend::merge_observability() {
-  // Unlike state lanes, the profiling sinks merge once per run (their merge
-  // semantics treat each source as a completed run), so this happens at the
-  // end of run() only, again in ascending owner order.
-  ShardAuditor* au = auditor_hook();
-  ScaleProfiler* sc = scale_hook();
-  MemProfiler* mm = mem_hook();
-  LoopProfiler* pr = profiler_hook();
+void ShardedBackend::open_observer_lanes() {
+  lane_bases_ = sim().observers();
+  const Observer* const audit = auditor_hook();
+  const Observer* const scale = scale_hook();
+  const Observer* const mem = mem_hook();
   for (auto& lp : lps_) {
-    if (au != nullptr) {
-      au->merge(lp->audit);
-      lp->audit = ShardAuditor{};
-      lp->audit.set_fail_fast(au->fail_fast());
-    }
-    if (sc != nullptr) {
-      sc->merge(lp->scale);
-      lp->scale = ScaleProfiler{};
-    }
-    if (mm != nullptr) {
-      mm->merge(lp->mem);
-      lp->mem = MemProfiler{};
-    }
-    if (pr != nullptr) {
-      pr->merge(lp->prof);
-      lp->prof.reset();
+    for (const Observer* base : lane_bases_) {
+      lp->observers.push_back(base->make_lane());
+      Observer* const lane = lp->observers.back().get();
+      if (base == audit) lp->audit = static_cast<ShardAuditor*>(lane);
+      if (base == scale) lp->scale = static_cast<ScaleProfiler*>(lane);
+      if (base == mem) lp->mem = static_cast<MemProfiler*>(lane);
     }
   }
+}
+
+void ShardedBackend::fold_observer_lanes() {
+  // Unlike state lanes, observers fold once per run (their merge semantics
+  // treat each source as a completed run), again in ascending owner order.
+  for (auto& lp : lps_) {
+    for (std::size_t i = 0; i < lp->observers.size(); ++i) {
+      lane_bases_[i]->fold(*lp->observers[i]);
+    }
+    lp->observers.clear();
+    lp->audit = nullptr;
+    lp->scale = nullptr;
+    lp->mem = nullptr;
+  }
+  lane_bases_.clear();
 }
 
 // -------------------------------------------------------------------- run --
@@ -468,11 +413,7 @@ void ShardedBackend::merge_observability() {
 std::size_t ShardedBackend::run(SimTime horizon) {
   clear_stop();
   running_ = true;
-  const bool audit = auditor_hook() != nullptr;
-  if (audit) {
-    audit_fail_fast_ = auditor_hook()->fail_fast();
-    for (auto& lp : lps_) lp->audit.set_fail_fast(audit_fail_fast_);
-  }
+  open_observer_lanes();
   const std::size_t control_slot = lps_.size();
   for (auto& lp : lps_) {
     if (lp->outbox.size() != control_slot + 1) lp->outbox.resize(control_slot + 1);
@@ -603,14 +544,14 @@ std::size_t ShardedBackend::run(SimTime horizon) {
     if (coordinator_error != nullptr) {
       running_ = false;
       fold_state_lanes();
-      merge_observability();
+      fold_observer_lanes();
       std::rethrow_exception(coordinator_error);
     }
   }
 
   const double fold_wall = ex != nullptr ? wall_now_seconds() : 0;
   fold_state_lanes();
-  merge_observability();
+  fold_observer_lanes();
   running_ = false;
   if (ex != nullptr) {
     ex->record_fold(wall_now_seconds() - fold_wall);

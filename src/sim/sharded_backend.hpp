@@ -7,7 +7,7 @@
 // The unit of sequential execution is the *owner* — the AS id the
 // ShardAuditor already uses as the provisional shard. Every owner gets a
 // logical process (Lp): its own EventQueue, its own RNG stream
-// (Rng::stream(seed, owner)), and its own observability lanes. A backend
+// (Rng::stream(seed, owner)), and one lane per attached observer. A backend
 // built with k shards runs min(k, owners) worker threads; worker w
 // executes the owners at positions w, w+k, ... of the ascending owner
 // list. All *determinism-bearing* state is per-owner, never per-worker,
@@ -36,12 +36,17 @@
 // (route installation, time-series sampling) sees fully merged state,
 // matching the ShardAuditor's declare_control_event contract.
 //
-// Shared sinks (packet counters, id sources, auditor, profilers) never
-// see concurrent writers: workers accumulate into per-owner lanes
-// (shard_lane<T>, plus built-in auditor/scale/loop-profiler lanes) and
-// the coordinator folds them in ascending owner order — at control
-// events for state lanes, at the end of run() for observability — so
-// merged output is shard-count-independent.
+// Shared sinks (packet counters, id sources, observers) never see
+// concurrent writers: workers accumulate into per-owner lanes and the
+// coordinator folds them in ascending owner order, so merged output is
+// shard-count-independent. State lanes (shard_lane<T>) are created on
+// first use and fold at every control batch. Observer lanes
+// (sim/observer.hpp) are built at run() start — one per attached observer
+// per owner, none when nothing is attached — and fold at run() end, on
+// the error path too. Events a worker schedules or cancels for its own
+// owner, and cross-owner messages at drain time, are recorded by the
+// owner's lanes; setup and control scheduling by the simulator's own
+// observers.
 #pragma once
 
 #include <cstdint>
@@ -53,11 +58,8 @@
 #include "sim/event_queue.hpp"
 #include "sim/exec_backend.hpp"
 #include "sim/exec_profile.hpp"
-#include "sim/mem_profile.hpp"
-#include "sim/profiler.hpp"
+#include "sim/observer.hpp"
 #include "sim/random.hpp"
-#include "sim/scale_profile.hpp"
-#include "sim/shard_audit.hpp"
 #include "sim/time.hpp"
 
 namespace tussle::sim {
@@ -134,10 +136,13 @@ class ShardedBackend final : public ExecutionBackend {
     /// messages for the control queue. Sized at run() start.
     std::vector<std::vector<Msg>> outbox;
     std::map<const void*, LaneEntry> lanes;  ///< shard_lane<T> storage
-    ShardAuditor audit;                      ///< lane when a base auditor is attached
-    ScaleProfiler scale;                     ///< lane when a base scale profiler is attached
-    MemProfiler mem;                         ///< lane when a base mem profiler is attached
-    LoopProfiler prof;                       ///< lane when a base loop profiler is attached
+    /// One lane per attached observer, in attach order; live only while
+    /// run() is. The typed pointers name the auditor's, scale profiler's
+    /// and memory profiler's lanes among them (ExecCtx serves those).
+    std::vector<std::unique_ptr<Observer>> observers;
+    ShardAuditor* audit = nullptr;
+    ScaleProfiler* scale = nullptr;
+    MemProfiler* mem = nullptr;
     std::size_t executed = 0;
     std::exception_ptr error;
 
@@ -149,8 +154,9 @@ class ShardedBackend final : public ExecutionBackend {
 
  private:
   Lp& lp_for(ShardId owner);  ///< creates pre-run; throws for unknown owners mid-run
-  EventId push_control(SimTime at, TaskTag tag, EventQueue::Action action);
-  EventId push_direct(Lp& lp, SimTime at, TaskTag tag, EventQueue::Action action);
+  /// Pushes from setup or control context, recorded by the simulator's own
+  /// observers with the base auditor's claim as origin.
+  EventId push_base(EventQueue& queue, SimTime at, TaskTag tag, EventQueue::Action action);
   /// Dispatches lp's events inside the window; returns how many ran. `xl`
   /// is the calling worker's exec-profiler lane (nullptr when detached).
   std::size_t process_lp(Lp& lp, SimTime window_end, ExecProfiler::WorkerLane* xl);
@@ -158,7 +164,10 @@ class ShardedBackend final : public ExecutionBackend {
   void drain_control_inbox();
   std::size_t run_control_at(SimTime tc);
   void fold_state_lanes();
-  void merge_observability();
+  /// Builds every owner's observer lanes (run() start).
+  void open_observer_lanes();
+  /// Folds and drops them, ascending owner order (run() end).
+  void fold_observer_lanes();
 
   std::size_t shards_ = 1;
   std::vector<std::unique_ptr<Lp>> lps_;  ///< ascending owner order
@@ -166,7 +175,8 @@ class ShardedBackend final : public ExecutionBackend {
   EventQueue control_;
   std::int64_t lookahead_ns_ = -1;  ///< min registered cross-owner latency; -1 = none
   bool running_ = false;
-  bool audit_fail_fast_ = true;
+  /// The simulator's observers the open lanes fold back into, in lane order.
+  std::vector<Observer*> lane_bases_;
 
   // Round state: written by the coordinator before the window barrier,
   // read by workers after it (the barrier orders the accesses).

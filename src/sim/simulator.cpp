@@ -1,5 +1,6 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
@@ -30,7 +31,6 @@ void ExecutionBackend::clear_stop() noexcept {
   sim_->stopping_.store(false, std::memory_order_relaxed);
 }
 void ExecutionBackend::add_executed(std::size_t n) noexcept { sim_->executed_ += n; }
-LoopProfiler* ExecutionBackend::profiler_hook() const noexcept { return sim_->profiler_; }
 ShardAuditor* ExecutionBackend::auditor_hook() const noexcept { return sim_->auditor_; }
 ScaleProfiler* ExecutionBackend::scale_hook() const noexcept { return sim_->scale_; }
 ExecProfiler* ExecutionBackend::exec_hook() const noexcept { return sim_->exec_; }
@@ -98,45 +98,60 @@ EventId Simulator::schedule_at(SimTime at, TaskTag tag, EventQueue::Action actio
 
 EventId Simulator::serial_schedule(SimTime at, TaskTag tag, EventQueue::Action action) {
   const EventId id = queue_.push(at, std::move(action), tag);
-  if (scale_ != nullptr) note_schedule(id, at, tag);
-  if (mem_ != nullptr) mem_note_schedule(id, at, tag);
+  // The scheduling event's claimed shard is the traffic-matrix origin;
+  // during setup (or with no auditor) there is none.
+  observe_schedule(observers_, id.value, now_, at, tag, claim_of(auditor_));
   return id;
 }
 
 bool Simulator::serial_cancel(EventId id) {
   const bool cancelled = queue_.cancel(id);
-  if (cancelled && scale_ != nullptr) scale_->on_cancel(id.value);
-  if (cancelled && mem_ != nullptr) mem_note_cancel(id);
+  if (cancelled) observe_cancel(observers_, id.value, now_);
   return cancelled;
 }
 
-void Simulator::note_schedule(EventId id, SimTime at, const TaskTag& tag) {
-  // The scheduling event's claimed shard is the traffic-matrix origin;
-  // during setup (or with no auditor) there is none.
-  const ShardId origin = auditor_ != nullptr ? auditor_->current() : kNoShard;
-  scale_->on_schedule(id.value, now_, at, tag, origin);
+// --------------------------------------------------------------- observers --
+
+void Simulator::attach(Observer* obs) {
+  if (obs == nullptr) return;
+  if (std::find(observers_.begin(), observers_.end(), obs) == observers_.end()) {
+    observers_.push_back(obs);
+  }
 }
 
-void Simulator::scale_begin(const EventQueue::Popped& ev) {
-  scale_->begin_event(ev.id.value, now_, queue_.size(), ev.tag);
+void Simulator::detach(Observer* obs) {
+  observers_.erase(std::remove(observers_.begin(), observers_.end(), obs), observers_.end());
+  if (obs == auditor_) auditor_ = nullptr;
+  if (obs == scale_) scale_ = nullptr;
+  if (obs == mem_) mem_ = nullptr;
 }
 
-void Simulator::scale_end() {
-  scale_->end_event(auditor_ != nullptr ? auditor_->current() : kNoShard);
+void Simulator::replace_observer(Observer* old, Observer* now) {
+  if (old == now) return;
+  const auto it = std::find(observers_.begin(), observers_.end(), old);
+  if (it == observers_.end()) {
+    attach(now);
+  } else if (now == nullptr ||
+             std::find(observers_.begin(), observers_.end(), now) != observers_.end()) {
+    observers_.erase(it);
+  } else {
+    *it = now;
+  }
 }
 
-void Simulator::mem_note_schedule(EventId id, SimTime at, const TaskTag& tag) {
-  mem_->on_schedule(id.value, now_, at, tag);
+void Simulator::set_auditor(ShardAuditor* auditor) {
+  replace_observer(auditor_, auditor);
+  auditor_ = auditor;
 }
 
-void Simulator::mem_note_cancel(EventId id) { mem_->on_cancel(id.value, now_); }
-
-void Simulator::mem_begin(const EventQueue::Popped& ev) {
-  mem_->begin_event(ev.id.value, now_, queue_.size(), ev.tag);
+void Simulator::set_scale_profiler(ScaleProfiler* scale) {
+  replace_observer(scale_, scale);
+  scale_ = scale;
 }
 
-void Simulator::mem_end() {
-  mem_->end_event(auditor_ != nullptr ? auditor_->current() : kNoShard);
+void Simulator::set_mem_profiler(MemProfiler* mem) {
+  replace_observer(mem_, mem);
+  mem_ = mem;
 }
 
 void Simulator::schedule_every(Duration period, std::function<bool()> action) {
@@ -174,22 +189,19 @@ void Simulator::set_heartbeat(Duration period, HeartbeatFn fn) {
     };
   }
   next_heartbeat_ = now_ + heartbeat_period_;
-  instrumented_ = profiler_ != nullptr || static_cast<bool>(heartbeat_);
 }
 
-void Simulator::dispatch_instrumented(EventQueue::Popped& ev) {
-  if (profiler_ != nullptr) {
-    const double t0 = wall_now_seconds();
+void Simulator::dispatch(EventQueue::Popped& ev) {
+  if (observers_.empty()) {
     ev.action();
-    profiler_->record(ev.tag, wall_now_seconds() - t0);
   } else {
+    observe_begin(observers_, ev.id.value, now_, queue_.size(), ev.tag);
     ev.action();
+    observe_end(observers_, claim_of(auditor_));
   }
-  if (heartbeat_ && now_ >= next_heartbeat_) maybe_heartbeat();
-}
-
-void Simulator::maybe_heartbeat() {
-  emit_heartbeat(now_, executed_ + 1 /* the event being dispatched */, queue_.size());
+  if (heartbeat_ && now_ >= next_heartbeat_) {
+    emit_heartbeat(now_, executed_ + 1 /* the event being dispatched */, queue_.size());
+  }
 }
 
 void Simulator::emit_heartbeat(SimTime sim_now, std::size_t executed_total,
@@ -215,29 +227,18 @@ std::size_t Simulator::serial_run(SimTime horizon) {
   stopping_.store(false, std::memory_order_relaxed);
   const std::int64_t exec_start_ns = now_.as_nanos();
   const double exec_wall = exec_ != nullptr ? wall_now_seconds() : 0;
-  if (instrumented_) {
+  if (heartbeat_) {
     run_wall_start_ = wall_now_seconds();
     last_beat_wall_ = run_wall_start_;
     last_beat_events_ = executed_;
-    if (heartbeat_) next_heartbeat_ = now_ + heartbeat_period_;
+    next_heartbeat_ = now_ + heartbeat_period_;
   }
   std::size_t n = 0;
   while (!queue_.empty() && !stopping_.load(std::memory_order_relaxed)) {
     if (queue_.next_time() > horizon) break;
     auto ev = queue_.pop();
     now_ = ev.time;
-    if (auditor_ != nullptr) auditor_->begin_event(now_, ev.tag);
-    if (scale_ != nullptr) scale_begin(ev);
-    if (mem_ != nullptr) mem_begin(ev);
-    if (instrumented_) {
-      dispatch_instrumented(ev);
-    } else {
-      ev.action();
-    }
-    // Both profilers read the auditor's claim before end_event resets it.
-    if (mem_ != nullptr) mem_end();
-    if (scale_ != nullptr) scale_end();
-    if (auditor_ != nullptr) auditor_->end_event();
+    dispatch(ev);
     ++n;
     ++executed_;
   }
@@ -256,17 +257,7 @@ bool Simulator::serial_step() {
   if (queue_.empty()) return false;
   auto ev = queue_.pop();
   now_ = ev.time;
-  if (auditor_ != nullptr) auditor_->begin_event(now_, ev.tag);
-  if (scale_ != nullptr) scale_begin(ev);
-  if (mem_ != nullptr) mem_begin(ev);
-  if (instrumented_) {
-    dispatch_instrumented(ev);
-  } else {
-    ev.action();
-  }
-  if (mem_ != nullptr) mem_end();
-  if (scale_ != nullptr) scale_end();
-  if (auditor_ != nullptr) auditor_->end_event();
+  dispatch(ev);
   ++executed_;
   return true;
 }

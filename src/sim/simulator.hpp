@@ -1,7 +1,7 @@
 // The discrete-event simulation engine's scheduling surface.
 //
-// The Simulator owns simulated time, the run's RNG, and the observability
-// hooks; *execution* is delegated to a pluggable ExecutionBackend
+// The Simulator owns simulated time, the run's RNG, and its observers;
+// *execution* is delegated to a pluggable ExecutionBackend
 // (sim/exec_backend.hpp):
 //
 //  - SerialBackend (the default): the classic single-threaded dispatch
@@ -11,13 +11,16 @@
 //    owner (AS), byte-identical output at any shard count.
 //
 // Component code stays backend-agnostic: now()/rng()/auditor()/
-// scale_profiler() resolve through the per-thread ExecCtx when a sharded
-// worker is dispatching, and fall back to the simulator's own state
-// otherwise (one thread-local load per call on the serial path).
+// scale_profiler()/mem_profiler() resolve through the per-thread ExecCtx
+// when a sharded worker is dispatching, and fall back to the simulator's
+// own state otherwise (one thread-local load per call on the serial path).
 //
-// Observability hooks (all off by default, one branch per event when off):
-//  - set_profiler() attributes each dispatched event's wall-clock cost to
-//    its TaskTag; see sim/profiler.hpp.
+// Observability (all off by default):
+//  - attach() adds a per-event sim::Observer (sim/observer.hpp): the shard
+//    auditor, the scale, memory and loop profilers. The observers live in
+//    one ordered list; dispatch runs their begin hooks in attach order and
+//    their end hooks in reverse, and pays one empty-list branch per event
+//    when none is attached.
 //  - set_heartbeat() prints a periodic progress line (sim-time, events/sec,
 //    queue depth) — it schedules nothing, so enabling it cannot change the
 //    event sequence. The serial loop checks it per event; the sharded
@@ -31,9 +34,11 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/exec_backend.hpp"
+#include "sim/observer.hpp"
 #include "sim/profiler.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
@@ -154,52 +159,54 @@ class Simulator {
   std::size_t events_executed() const noexcept { return executed_; }
   std::size_t events_pending() const { return backend_->pending(); }
 
-  /// Attaches (or detaches, with nullptr) an event-loop profiler. Not
-  /// owned; must outlive the simulator or be detached first.
-  void set_profiler(LoopProfiler* profiler) noexcept {
-    profiler_ = profiler;
-    instrumented_ = profiler_ != nullptr || static_cast<bool>(heartbeat_);
-  }
-  LoopProfiler* profiler() const noexcept { return profiler_; }
+  /// Appends `obs` to the observer list (see sim/observer.hpp): its begin
+  /// hook runs after, and its end hook before, those of every observer
+  /// attached earlier. Attaching an attached observer is a no-op. Attach
+  /// before run(): the sharded backend builds its lanes at run() start.
+  /// Not owned; must outlive the simulator or be detached first. One
+  /// observer instance serves one dispatching simulator at a time — the
+  /// loop, scale and memory profilers hold the current event between its
+  /// begin and end hooks.
+  void attach(Observer* obs);
+  void detach(Observer* obs);
+  const std::vector<Observer*>& observers() const noexcept { return observers_; }
 
-  /// Attaches (or detaches, with nullptr) the cross-shard access auditor.
-  /// Dispatch then opens every event with ShardAuditor::begin_event, so
+  /// Attaches (or detaches, with nullptr) the cross-shard access auditor,
+  /// replacing any auditor attached before in its list position. Dispatch
+  /// then opens every event with ShardAuditor::begin_event, so
   /// instrumented mutation points can attribute accesses to the claiming
-  /// shard (see sim/shard_audit.hpp). Not owned. Uninstrumented runs pay
-  /// one null-pointer branch per event. Inside a sharded worker event the
-  /// accessor returns the worker's per-owner lane.
-  void set_auditor(ShardAuditor* auditor) noexcept { auditor_ = auditor; }
+  /// shard (see sim/shard_audit.hpp). Not owned. Inside a sharded worker
+  /// event the accessor returns the worker's per-owner lane.
+  void set_auditor(ShardAuditor* auditor);
   ShardAuditor* auditor() const noexcept {
     const ExecCtx* c = current_exec_ctx();
     if (c != nullptr && c->sim == this) return c->auditor;
     return auditor_;
   }
 
-  /// Attaches (or detaches, with nullptr) the scale profiler. Dispatch then
-  /// reports schedule/cancel/dispatch transitions so it can reconstruct the
-  /// event DAG, per-shard loads, and queue-depth profile (see
+  /// Attaches (or detaches, with nullptr) the scale profiler, replacing any
+  /// attached before in its list position. It reconstructs the event DAG,
+  /// per-shard loads, and queue-depth profile from the observer hooks (see
   /// sim/scale_profile.hpp). Works best with an auditor attached too —
-  /// shard attribution comes from the auditor's claim registry, and without
-  /// one every event lands on kNoShard. Not owned. Uninstrumented runs pay
-  /// one null-pointer branch per schedule and per event. Inside a sharded
-  /// worker event the accessor returns the worker's per-owner lane.
-  void set_scale_profiler(ScaleProfiler* scale) noexcept { scale_ = scale; }
+  /// shard attribution comes from the auditor's claims, and without one
+  /// every event lands on kNoShard. Not owned. Inside a sharded worker
+  /// event the accessor returns the worker's per-owner lane.
+  void set_scale_profiler(ScaleProfiler* scale);
   ScaleProfiler* scale_profiler() const noexcept {
     const ExecCtx* c = current_exec_ctx();
     if (c != nullptr && c->sim == this) return c->scale;
     return scale_;
   }
 
-  /// Attaches (or detaches, with nullptr) the memory profiler. Dispatch
-  /// then reports schedule/cancel/dispatch transitions so it can account
-  /// event-control-block churn and lifetimes; components report packet
-  /// births/deaths, actor registrations, and pointer-chase hops through it
-  /// (see sim/mem_profile.hpp). Works best with an auditor attached too —
-  /// per-shard footprints come from the auditor's claim registry. Not
-  /// owned. Uninstrumented runs pay one null-pointer branch per schedule
-  /// and per event. Inside a sharded worker event the accessor returns the
-  /// worker's per-owner lane.
-  void set_mem_profiler(MemProfiler* mem) noexcept { mem_ = mem; }
+  /// Attaches (or detaches, with nullptr) the memory profiler, replacing
+  /// any attached before in its list position. It accounts
+  /// event-control-block churn and lifetimes from the observer hooks;
+  /// components report packet births/deaths, actor registrations, and
+  /// pointer-chase hops through it (see sim/mem_profile.hpp). Works best
+  /// with an auditor attached too — per-shard footprints come from the
+  /// auditor's claims. Not owned. Inside a sharded worker event the
+  /// accessor returns the worker's per-owner lane.
+  void set_mem_profiler(MemProfiler* mem);
   MemProfiler* mem_profiler() const noexcept {
     const ExecCtx* c = current_exec_ctx();
     if (c != nullptr && c->sim == this) return c->mem;
@@ -246,26 +253,17 @@ class Simulator {
 
   void run_repeating(Duration period, TaskTag tag,
                      const std::shared_ptr<std::function<bool()>>& action);
-  void dispatch_instrumented(EventQueue::Popped& ev);
-  void maybe_heartbeat();
+  /// Swaps the typed observer `old` for `now` in the list, keeping its
+  /// position; appends `now` when `old` is not attached.
+  void replace_observer(Observer* old, Observer* now);
+  void dispatch(EventQueue::Popped& ev);
   /// Shared heartbeat emitter: advances next_heartbeat_ past `sim_now` and
   /// calls the callback once. Used per event by the serial loop and per
   /// barrier window by the sharded coordinator (via the backend accessors).
   void emit_heartbeat(SimTime sim_now, std::size_t executed_total,
                       std::size_t queue_depth);
-  /// Out-of-line scale-profiler notifications (ScaleProfiler is an
-  /// incomplete type here).
-  void note_schedule(EventId id, SimTime at, const TaskTag& tag);
-  void scale_begin(const EventQueue::Popped& ev);
-  void scale_end();
-  /// Out-of-line mem-profiler notifications (MemProfiler is an incomplete
-  /// type here).
-  void mem_note_schedule(EventId id, SimTime at, const TaskTag& tag);
-  void mem_note_cancel(EventId id);
-  void mem_begin(const EventQueue::Popped& ev);
-  void mem_end();
 
-  // The pre-split dispatch loop, verbatim; SerialBackend forwards here.
+  // The serial dispatch loop; SerialBackend forwards here.
   EventId serial_schedule(SimTime at, TaskTag tag, EventQueue::Action action);
   bool serial_cancel(EventId id);
   std::size_t serial_run(SimTime horizon);
@@ -280,12 +278,11 @@ class Simulator {
   std::unique_ptr<ExecutionBackend> backend_;
 
   // --- observability (never consulted by simulation logic) ---
-  bool instrumented_ = false;  ///< profiler_ or heartbeat active
-  LoopProfiler* profiler_ = nullptr;
-  ShardAuditor* auditor_ = nullptr;
+  std::vector<Observer*> observers_;  ///< attach order
+  ShardAuditor* auditor_ = nullptr;   ///< typed views of observers_ entries
   ScaleProfiler* scale_ = nullptr;
-  ExecProfiler* exec_ = nullptr;
   MemProfiler* mem_ = nullptr;
+  ExecProfiler* exec_ = nullptr;
   Tracer tracer_;
   Duration heartbeat_period_{};
   HeartbeatFn heartbeat_;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "sim/html.hpp"
 #include "sim/json.hpp"
 #include "sim/metric_registry.hpp"
 #include "sim/simulator.hpp"
@@ -197,21 +198,6 @@ std::string TimeSeriesStore::to_json(const ConvergenceConfig& cfg) const {
 
 namespace {
 
-std::string html_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 /// Short deterministic number for axis labels and stat tiles.
 std::string fmt_short(double v) {
   char buf[48];
@@ -227,13 +213,6 @@ std::string fmt_time(SimTime t) {
   if (abs_ns < 1e6) return fmt_short(ns * 1e-3) + "us";
   if (abs_ns < 1e9) return fmt_short(ns * 1e-6) + "ms";
   return fmt_short(ns * 1e-9) + "s";
-}
-
-/// SVG coordinate: fixed two decimals so output is platform-stable.
-std::string fmt_coord(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.2f", v);
-  return buf;
 }
 
 // Chart geometry shared by every series card.
@@ -260,17 +239,17 @@ void render_chart(std::string& out, const TimeSeries& ts, const SeriesAnalysis& 
   };
   auto sy = [&](double v) { return kMT + (hi - v) / (hi - lo) * kPlotH; };
 
-  out += "<svg viewBox=\"0 0 " + fmt_coord(kW) + " " + fmt_coord(kH) +
+  out += "<svg viewBox=\"0 0 " + fmt2(kW) + " " + fmt2(kH) +
          "\" role=\"img\" aria-label=\"" + std::to_string(n) +
          " samples\">\n";
 
   // Hairline grid + y labels at four levels.
   for (int g = 0; g <= 3; ++g) {
     const double v = lo + (hi - lo) * static_cast<double>(g) / 3.0;
-    const std::string y = fmt_coord(sy(v));
-    out += "<line class=\"grid\" x1=\"" + fmt_coord(kML) + "\" y1=\"" + y + "\" x2=\"" +
-           fmt_coord(kW - kMR) + "\" y2=\"" + y + "\"/>\n";
-    out += "<text class=\"tick\" x=\"" + fmt_coord(kML - 6) + "\" y=\"" + y +
+    const std::string y = fmt2(sy(v));
+    out += "<line class=\"grid\" x1=\"" + fmt2(kML) + "\" y1=\"" + y + "\" x2=\"" +
+           fmt2(kW - kMR) + "\" y2=\"" + y + "\"/>\n";
+    out += "<text class=\"tick\" x=\"" + fmt2(kML - 6) + "\" y=\"" + y +
            "\" dy=\"0.32em\" text-anchor=\"end\">" + html_escape(fmt_short(v)) +
            "</text>\n";
   }
@@ -279,27 +258,27 @@ void render_chart(std::string& out, const TimeSeries& ts, const SeriesAnalysis& 
   const SimTime xt[3] = {ticks.front(), mid, ticks.back()};
   const char* anchors[3] = {"start", "middle", "end"};
   for (int i = 0; i < 3; ++i) {
-    out += "<text class=\"tick\" x=\"" + fmt_coord(sx(xt[i])) + "\" y=\"" +
-           fmt_coord(kH - 8) + "\" text-anchor=\"" + anchors[i] + "\">" +
+    out += "<text class=\"tick\" x=\"" + fmt2(sx(xt[i])) + "\" y=\"" +
+           fmt2(kH - 8) + "\" text-anchor=\"" + anchors[i] + "\">" +
            html_escape(fmt_time(xt[i])) + "</text>\n";
   }
   // Baseline.
-  out += "<line class=\"axis\" x1=\"" + fmt_coord(kML) + "\" y1=\"" +
-         fmt_coord(kMT + kPlotH) + "\" x2=\"" + fmt_coord(kW - kMR) + "\" y2=\"" +
-         fmt_coord(kMT + kPlotH) + "\"/>\n";
+  out += "<line class=\"axis\" x1=\"" + fmt2(kML) + "\" y1=\"" +
+         fmt2(kMT + kPlotH) + "\" x2=\"" + fmt2(kW - kMR) + "\" y2=\"" +
+         fmt2(kMT + kPlotH) + "\"/>\n";
 
   // Convergence marker: dashed vertical at the start of the stable suffix.
   if (a.converged) {
-    const std::string x = fmt_coord(sx(a.converged_at));
-    out += "<line class=\"ann\" x1=\"" + x + "\" y1=\"" + fmt_coord(kMT) + "\" x2=\"" + x +
-           "\" y2=\"" + fmt_coord(kMT + kPlotH) + "\"/>\n";
+    const std::string x = fmt2(sx(a.converged_at));
+    out += "<line class=\"ann\" x1=\"" + x + "\" y1=\"" + fmt2(kMT) + "\" x2=\"" + x +
+           "\" y2=\"" + fmt2(kMT + kPlotH) + "\"/>\n";
   }
 
   // The trajectory itself.
   out += "<polyline class=\"line\" points=\"";
   for (std::size_t i = 0; i < n; ++i) {
     if (i) out += ' ';
-    out += fmt_coord(sx(ticks[i])) + "," + fmt_coord(sy(vals[i]));
+    out += fmt2(sx(ticks[i])) + "," + fmt2(sy(vals[i]));
   }
   out += "\"/>\n";
 
@@ -307,8 +286,8 @@ void render_chart(std::string& out, const TimeSeries& ts, const SeriesAnalysis& 
   // is sparse enough for individual points to be hoverable.
   if (n <= 240) {
     for (std::size_t i = 0; i < n; ++i) {
-      out += "<circle class=\"pt\" cx=\"" + fmt_coord(sx(ticks[i])) + "\" cy=\"" +
-             fmt_coord(sy(vals[i])) + "\" r=\"6\"><title>" +
+      out += "<circle class=\"pt\" cx=\"" + fmt2(sx(ticks[i])) + "\" cy=\"" +
+             fmt2(sy(vals[i])) + "\" r=\"6\"><title>" +
              html_escape(fmt_time(ticks[i])) + " &#8594; " +
              html_escape(json_number(vals[i])) + "</title></circle>\n";
     }
@@ -330,72 +309,7 @@ std::string timeseries_dashboard(const TimeSeriesStore& store, const std::string
     n_oscillating += analyses.back().oscillating ? 1 : 0;
   }
 
-  std::string out;
-  out +=
-      "<!DOCTYPE html>\n"
-      "<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n"
-      "<meta name=\"viewport\" content=\"width=device-width, initial-scale=1\">\n";
-  out += "<title>" + html_escape(title) + "</title>\n";
-  out +=
-      "<style>\n"
-      ".viz-root {\n"
-      "  color-scheme: light;\n"
-      "  --surface-1: #fcfcfb; --page: #f9f9f7;\n"
-      "  --text-primary: #0b0b0b; --text-secondary: #52514e; --muted: #898781;\n"
-      "  --grid: #e1e0d9; --axis: #c3c2b7; --border: rgba(11,11,11,0.10);\n"
-      "  --series-1: #2a78d6;\n"
-      "}\n"
-      "@media (prefers-color-scheme: dark) {\n"
-      "  :root:where(:not([data-theme=\"light\"])) .viz-root {\n"
-      "    color-scheme: dark;\n"
-      "    --surface-1: #1a1a19; --page: #0d0d0d;\n"
-      "    --text-primary: #ffffff; --text-secondary: #c3c2b7; --muted: #898781;\n"
-      "    --grid: #2c2c2a; --axis: #383835; --border: rgba(255,255,255,0.10);\n"
-      "    --series-1: #3987e5;\n"
-      "  }\n"
-      "}\n"
-      ":root[data-theme=\"dark\"] .viz-root {\n"
-      "  color-scheme: dark;\n"
-      "  --surface-1: #1a1a19; --page: #0d0d0d;\n"
-      "  --text-primary: #ffffff; --text-secondary: #c3c2b7; --muted: #898781;\n"
-      "  --grid: #2c2c2a; --axis: #383835; --border: rgba(255,255,255,0.10);\n"
-      "  --series-1: #3987e5;\n"
-      "}\n"
-      "body { margin: 0; font-family: system-ui, -apple-system, \"Segoe UI\", sans-serif; }\n"
-      ".viz-root { background: var(--page); color: var(--text-primary);\n"
-      "  min-height: 100vh; padding: 24px; box-sizing: border-box; }\n"
-      "h1 { font-size: 20px; margin: 0 0 4px; }\n"
-      ".sub { color: var(--text-secondary); font-size: 13px; margin: 0 0 20px; }\n"
-      ".tiles { display: flex; gap: 12px; flex-wrap: wrap; margin-bottom: 24px; }\n"
-      ".tile { background: var(--surface-1); border: 1px solid var(--border);\n"
-      "  border-radius: 8px; padding: 12px 16px; min-width: 110px; }\n"
-      ".tile .v { font-size: 24px; }\n"
-      ".tile .k { color: var(--text-secondary); font-size: 12px; }\n"
-      ".card { background: var(--surface-1); border: 1px solid var(--border);\n"
-      "  border-radius: 8px; padding: 16px; margin-bottom: 16px; max-width: 820px; }\n"
-      ".card h2 { font-size: 14px; margin: 0 0 4px; font-weight: 600; }\n"
-      ".stats { color: var(--text-secondary); font-size: 12px; margin: 0 0 10px; }\n"
-      ".stats b { color: var(--text-primary); font-weight: 600; }\n"
-      ".verdict { white-space: nowrap; }\n"
-      ".dot { display: inline-block; width: 8px; height: 8px; border-radius: 50%;\n"
-      "  background: var(--series-1); margin-right: 4px; }\n"
-      "svg { display: block; width: 100%; height: auto; }\n"
-      ".grid { stroke: var(--grid); stroke-width: 1; }\n"
-      ".axis { stroke: var(--axis); stroke-width: 1; }\n"
-      ".tick { fill: var(--muted); font-size: 10px; font-variant-numeric: tabular-nums; }\n"
-      ".line { stroke: var(--series-1); stroke-width: 2; fill: none;\n"
-      "  stroke-linejoin: round; stroke-linecap: round; }\n"
-      ".ann { stroke: var(--muted); stroke-width: 1; stroke-dasharray: 4 3; }\n"
-      ".pt { fill: transparent; }\n"
-      ".tbl summary { color: var(--text-secondary); font-size: 12px; cursor: pointer; }\n"
-      "table { border-collapse: collapse; font-size: 12px; margin-top: 8px;\n"
-      "  font-variant-numeric: tabular-nums; }\n"
-      "td, th { border: 1px solid var(--grid); padding: 2px 8px; text-align: right; }\n"
-      "th { color: var(--text-secondary); font-weight: 600; }\n"
-      ".note { color: var(--muted); font-size: 12px; }\n"
-      "</style>\n</head>\n<body>\n<div class=\"viz-root\">\n";
-
-  out += "<h1>" + html_escape(title) + "</h1>\n";
+  std::string out = page_head(title);
   out += "<p class=\"sub\">Simulated-time telemetry &#183; deterministic export</p>\n";
 
   out += "<div class=\"tiles\">\n";
@@ -449,7 +363,7 @@ std::string timeseries_dashboard(const TimeSeriesStore& store, const std::string
     out += "</div>\n";
   }
 
-  out += "</div>\n</body>\n</html>\n";
+  out += page_tail();
   return out;
 }
 

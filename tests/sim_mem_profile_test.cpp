@@ -250,7 +250,7 @@ TEST(MemProfile, MergeIsAssociative) {
     for (std::uint64_t i = 0; i < n; ++i) {
       const std::uint64_t id = base + i;
       const auto at = sim::SimTime::millis(static_cast<std::int64_t>(i + 1));
-      m.on_schedule(id, sim::SimTime::zero(), at, tag);
+      m.on_schedule(id, sim::SimTime::zero(), at, tag, sim::kNoShard);
       m.begin_event(id, at, static_cast<std::size_t>(n - i), tag);
       m.count_alloc("test.obj", 128);
       m.note_hops("test.chase", 2);

@@ -67,7 +67,7 @@ TEST(LoopProfiler, JsonIsAnArrayOfCells) {
 TEST(SimulatorProfiling, CountsMatchScriptedScenario) {
   Simulator sim(7);
   LoopProfiler prof;
-  sim.set_profiler(&prof);
+  sim.attach(&prof);
 
   TaskTag alpha{"comp.alpha", "tick"};
   TaskTag beta{"comp.beta", "tock"};
@@ -102,7 +102,7 @@ TEST(SimulatorProfiling, InstrumentationPreservesExecutionOrder) {
     LoopProfiler prof;
     std::vector<int> order;
     if (instrument) {
-      sim.set_profiler(&prof);
+      sim.attach(&prof);
       sim.set_heartbeat(Duration::millis(1), [](const Simulator::Heartbeat&) {});
     }
     for (int i = 0; i < 50; ++i) {

@@ -29,9 +29,10 @@ its "benchmarks" array) is gated too, under the reserved baseline id
 headline the micro benches exist to publish — and the gate direction is
 inverted relative to wall time: a *drop* beyond --max-regression fails.
 This is the guard that keeps always-compiled instrumentation hooks (span
-tracer, shard auditor) honest about their disabled-path cost: the hot
-loops bench_micro times run with every such pointer null, so a throughput
-drop means the "one null-pointer branch per hook site" contract broke.
+tracer, observers) honest about their disabled-path cost: the hot loops
+bench_micro times run with nothing attached, so a throughput drop means
+the "one empty-list branch per event, one null-pointer branch per hook
+site" contract broke.
 
 Scale reports (bench harness --scale-json, recognised by their "scale"
 key) are compared in SCALE mode, normally against the committed
