@@ -46,8 +46,8 @@
 //                       (implies --audit)
 //   --scale-profile     run every simulator under the PDES-readiness scale
 //                       profiler (sim/scale_profile.hpp): per-shard load,
-//                       cross-shard traffic, critical path, queue/memory
-//                       churn, predicted barrier-round speedup. Attaches a
+//                       cross-shard traffic, critical path, event-queue
+//                       depth, predicted barrier-round speedup. Attaches a
 //                       fail-soft auditor for shard attribution when
 //                       --audit was not also given.
 //   --scale-json <p>    write the merged scale report as JSON (implies

@@ -1,6 +1,8 @@
 #include "net/network.hpp"
 
+#include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "sim/exec_backend.hpp"
 #include "sim/mem_profile.hpp"
@@ -55,17 +57,18 @@ sim::ShardId link_shard(const Network& net, NodeId a, NodeId b) {
   return as_a == as_b ? static_cast<sim::ShardId>(as_a) : sim::kSharedShard;
 }
 
-/// Records a link-level drop as a zero-length span under the packet's
-/// lifetime span (link code runs outside any hop context) and closes the
-/// packet span — a dropped packet's causal tree ends here.
-void span_link_drop(sim::SpanTracer* sp, sim::SimTime now, std::uint64_t uid,
-                    const char* reason, LinkId link, NodeId sender) {
-  if (sp == nullptr) return;
-  const sim::SpanId id =
-      sp->begin_under(sp->find_packet(uid), now, "net.link", "drop",
-                      {{"reason", reason}, {"link", link}, {"node", sender}});
-  sp->end(id, now);
-  sp->end_packet(uid, now);
+/// The trace/span name of a drop cause; Network::emit renders a filter drop
+/// as "filter:<the filter's reason>".
+const char* drop_name(DropReason reason) noexcept {
+  switch (reason) {
+    case DropReason::kNone: return "none";
+    case DropReason::kFilter: return "filter";
+    case DropReason::kTtl: return "ttl";
+    case DropReason::kNoRoute: return "no-route";
+    case DropReason::kQueueFull: return "queue-full";
+    case DropReason::kLinkDown: return "link-down";
+  }
+  return "?";
 }
 
 }  // namespace
@@ -104,38 +107,20 @@ bool Link::transmit_from(NodeId sender, Packet p) {
     au->check_mutation("net.link", id_, net_->node(sender).as(), "transmit");
   }
   if (!up_) {
-    net_->counters().dropped_link_down.add();
-    if (auto* mp = net_->mem_profiler()) {
-      mp->packet_dropped(p.uid, net_->simulator().now());
-    }
-    TUSSLE_TRACE_EVENT(net_->tracer(), net_->simulator().now(), sim::TraceLevel::kInfo,
-                       "net.link", "drop", {"reason", "link-down"}, {"uid", p.uid},
-                       {"flow", p.flow}, {"link", id_}, {"node", sender});
-    span_link_drop(net_->spans(), net_->simulator().now(), p.uid, "link-down", id_, sender);
+    net_->emit({.kind = PacketEventKind::kDrop, .reason = DropReason::kLinkDown, .uid = p.uid,
+                .flow = p.flow, .node = sender, .link = id_});
     return false;
   }
   Direction& d = dir_for(sender);
   const std::uint64_t uid = p.uid;
   const FlowId flow = p.flow;
   if (!d.queue->enqueue(std::move(p))) {
-    net_->counters().dropped_queue.add();
-    if (auto* mp = net_->mem_profiler()) {
-      mp->packet_dropped(uid, net_->simulator().now());
-    }
-    TUSSLE_TRACE_EVENT(net_->tracer(), net_->simulator().now(), sim::TraceLevel::kInfo,
-                       "net.link", "drop", {"reason", "queue-full"}, {"uid", uid},
-                       {"flow", flow}, {"link", id_}, {"node", sender});
-    span_link_drop(net_->spans(), net_->simulator().now(), uid, "queue-full", id_, sender);
+    net_->emit({.kind = PacketEventKind::kDrop, .reason = DropReason::kQueueFull, .uid = uid,
+                .flow = flow, .node = sender, .link = id_});
     return false;
   }
-  if (auto* mp = net_->mem_profiler()) {
-    // Link-queue occupancy after the enqueue: the container the arena/SoA
-    // refactor would turn into a ring buffer.
-    mp->note_occupancy("net.link_queue", d.queue->packets());
-  }
-  TUSSLE_TRACE_EVENT(net_->tracer(), net_->simulator().now(), sim::TraceLevel::kDebug,
-                     "net.link", "enqueue", {"uid", uid}, {"flow", flow}, {"link", id_},
-                     {"node", sender}, {"queued", d.queue->packets()});
+  net_->emit({.kind = PacketEventKind::kEnqueue, .uid = uid, .flow = flow, .node = sender,
+              .link = id_, .queued = d.queue->packets()});
   if (!d.transmitting) start_transmission(d);
   return true;
 }
@@ -166,11 +151,8 @@ void Link::start_transmission(Direction& d) {
                                    sim::TaskTag{"net.link", "propagate"},
                                    [this, to, ingress, pkt = std::move(pkt)]() mutable {
       if (!up_) {
-        net_->counters().dropped_link_down.add();
-        if (auto* mp = net_->mem_profiler()) {
-          mp->packet_dropped(pkt.uid, net_->simulator().now());
-        }
-        span_link_drop(net_->spans(), net_->simulator().now(), pkt.uid, "link-down", id_, to);
+        net_->emit({.kind = PacketEventKind::kDrop, .reason = DropReason::kLinkDown,
+                    .uid = pkt.uid, .flow = pkt.flow, .node = to, .link = id_});
         return;
       }
       // This event runs as the receiving node's owner (schedule_for above).
@@ -238,7 +220,7 @@ NodeId Network::add_node(AsId as) {
   // logical process (a no-op on the serial backend).
   sim_->register_owner(static_cast<sim::ShardId>(as));
   if (auto* au = auditor()) au->register_component("net.node", id, as);
-  sim::profile_actor(scale_profiler(), mem_profiler(), "net.node", sizeof(Node));
+  if (auto* mp = mem_profiler()) mp->register_actor("net.node", sizeof(Node));
   return id;
 }
 
@@ -259,7 +241,7 @@ Link& Network::connect(NodeId a, NodeId b, double bits_per_second, sim::Duration
   sim_->register_lookahead(static_cast<sim::ShardId>(node(a).as()),
                            static_cast<sim::ShardId>(node(b).as()), propagation);
   if (auto* au = auditor()) au->register_component("net.link", id, link_shard(*this, a, b));
-  sim::profile_actor(scale_profiler(), mem_profiler(), "net.link", sizeof(Link));
+  if (auto* mp = mem_profiler()) mp->register_actor("net.link", sizeof(Link));
   if (auto* sp = scale_profiler()) {
     // Cross-AS propagation delays are the PDES lookahead; same-AS pairs are
     // ignored by register_link.
@@ -268,37 +250,121 @@ Link& Network::connect(NodeId a, NodeId b, double bits_per_second, sim::Duration
   return link;
 }
 
+void Network::emit(const PacketEvent& e) {
+  const sim::SimTime now = sim_->now();
+  switch (e.kind) {
+    case PacketEventKind::kOriginate:
+      counters().originated.add();
+      if (auto* mp = mem_profiler()) mp->packet_birth(e.uid, now, e.bytes);
+      if (spans_ != nullptr) {
+        spans_->annotate(spans_->packet_span(now, e.uid, e.flow), {"origin", e.node});
+      }
+      return;
+    case PacketEventKind::kMirror:
+      counters().mirrored.add();
+      return;
+    case PacketEventKind::kRedirect:
+      counters().redirected.add();
+      TUSSLE_TRACE_EVENT(tracer(), now, sim::TraceLevel::kInfo, "net.node", "redirect",
+                         {"uid", e.uid}, {"flow", e.flow}, {"node", e.node});
+      if (spans_ != nullptr) spans_->instant(now, "net.node", "redirect", {{"node", e.node}});
+      return;
+    case PacketEventKind::kForward:
+      counters().forwarded.add();
+      TUSSLE_TRACE_EVENT(tracer(), now, sim::TraceLevel::kDebug, "net.node", "forward",
+                         {"uid", e.uid}, {"flow", e.flow}, {"node", e.node}, {"ttl", e.ttl});
+      return;
+    case PacketEventKind::kEnqueue:
+      // Link-queue occupancy after the enqueue: the container the arena/SoA
+      // refactor would turn into a ring buffer.
+      if (auto* mp = mem_profiler()) mp->note_occupancy("net.link_queue", e.queued);
+      TUSSLE_TRACE_EVENT(tracer(), now, sim::TraceLevel::kDebug, "net.link", "enqueue",
+                         {"uid", e.uid}, {"flow", e.flow}, {"link", e.link}, {"node", e.node},
+                         {"queued", e.queued});
+      return;
+    case PacketEventKind::kDeliver: {
+      NetCounters& ctr = counters();
+      ctr.delivered.add();
+      ctr.delivery_latency_s.observe(e.latency_s);
+      if (auto* mp = mem_profiler()) mp->packet_delivered(e.uid, now);
+      TUSSLE_TRACE_EVENT(tracer(), now, sim::TraceLevel::kInfo, "net.node", "deliver",
+                         {"uid", e.uid}, {"flow", e.flow}, {"node", e.node},
+                         {"latency_s", e.latency_s});
+      if (spans_ != nullptr) spans_->end_packet(e.uid, now);
+      return;
+    }
+    case PacketEventKind::kDrop:
+      break;
+  }
+
+  NetCounters& ctr = counters();
+  switch (e.reason) {
+    case DropReason::kNone: break;
+    case DropReason::kFilter: ctr.dropped_filter.add(); break;
+    case DropReason::kTtl: ctr.dropped_ttl.add(); break;
+    case DropReason::kNoRoute: ctr.dropped_no_route.add(); break;
+    case DropReason::kQueueFull: ctr.dropped_queue.add(); break;
+    case DropReason::kLinkDown: ctr.dropped_link_down.add(); break;
+  }
+  if (auto* mp = mem_profiler()) mp->packet_dropped(e.uid, now);
+  sim::Tracer& tr = tracer();
+  if (spans_ == nullptr && !tr.enabled_for(sim::TraceLevel::kInfo)) return;
+  const std::string reason = e.reason == DropReason::kFilter
+                                 ? "filter:" + std::string(e.detail)
+                                 : std::string(drop_name(e.reason));
+  const bool at_link = e.reason == DropReason::kQueueFull || e.reason == DropReason::kLinkDown;
+  if (at_link) {
+    TUSSLE_TRACE_EVENT(tr, now, sim::TraceLevel::kInfo, "net.link", "drop", {"reason", reason},
+                       {"uid", e.uid}, {"flow", e.flow}, {"link", e.link}, {"node", e.node});
+  } else if (e.reason == DropReason::kFilter) {
+    TUSSLE_TRACE_EVENT(tr, now, sim::TraceLevel::kInfo, "net.node", "drop", {"reason", reason},
+                       {"uid", e.uid}, {"flow", e.flow}, {"node", e.node},
+                       {"disclosed", e.disclosed});
+  } else {
+    TUSSLE_TRACE_EVENT(tr, now, sim::TraceLevel::kInfo, "net.node", "drop", {"reason", reason},
+                       {"uid", e.uid}, {"flow", e.flow}, {"node", e.node});
+  }
+  if (spans_ == nullptr) return;
+  // A zero-length drop span, then the packet's causal tree closes. A node
+  // drop hangs under the hop that decided (the packet span when no hop is
+  // active); link code runs outside any hop, so a link drop hangs under the
+  // packet span.
+  sim::SpanId parent = at_link ? sim::kNoSpan : spans_->current();
+  if (parent == sim::kNoSpan) parent = spans_->find_packet(e.uid);
+  const sim::SpanId id =
+      at_link ? spans_->begin_under(parent, now, "net.link", "drop",
+                                    {{"reason", reason}, {"link", e.link}, {"node", e.node}})
+              : spans_->begin_under(parent, now, "net.node", "drop",
+                                    {{"reason", reason}, {"node", e.node}});
+  spans_->end(id, now);
+  spans_->end_packet(e.uid, now);
+}
+
 void Network::notify_delivered(const Packet& p, NodeId at) {
   // Network-wide counters are deliberately shared across shards today; the
   // tally marks them as a merge point the PDES refactor must make
   // shard-local-then-merge.
   if (auto* au = auditor()) au->record_shared_access("net.counters", "deliver");
-  NetCounters& ctr = counters();  // owner lane under sharded execution
-  ctr.delivered.add();
-  if (auto* mp = mem_profiler()) mp->packet_delivered(p.uid, sim_->now());
-  const double latency_s = sim_->now().as_seconds() - p.sent_at_s;
-  ctr.delivery_latency_s.observe(latency_s);
-  TUSSLE_TRACE_EVENT(tracer(), sim_->now(), sim::TraceLevel::kInfo, "net.node", "deliver",
-                     {"uid", p.uid}, {"flow", p.flow}, {"node", at},
-                     {"latency_s", latency_s});
+  const sim::SimTime now = sim_->now();
+  const double latency_s = now.as_seconds() - p.sent_at_s;
+  // Delivery can happen inside a hop span (forwarded packet) or with no
+  // active context (origination straight to a local address); adopt the
+  // packet span in the latter case, looked up before emit closes it, so the
+  // deliver span never floats free.
+  const bool adopt = spans_ != nullptr && spans_->current() == sim::kNoSpan;
+  if (adopt) spans_->push(spans_->find_packet(p.uid));
+  emit({.kind = PacketEventKind::kDeliver, .uid = p.uid, .flow = p.flow, .node = at,
+        .latency_s = latency_s});
+  // Settlements posted by delivery observers (e.g. PaidTransit::settle)
+  // nest under this span: "who was compensated because it arrived".
+  std::optional<sim::ScopedSpan> deliver;
   if (spans_ != nullptr) {
-    // Delivery can happen inside a hop span (forwarded packet) or with no
-    // active context (origination straight to a local address); adopt the
-    // packet span in the latter case so the deliver span never floats free.
-    const bool adopt = spans_->current() == sim::kNoSpan;
-    if (adopt) spans_->push(spans_->find_packet(p.uid));
-    {
-      // Settlements posted by delivery observers (e.g. PaidTransit::settle)
-      // nest under this span: "who was compensated because it arrived".
-      sim::ScopedSpan deliver(spans_, sim_->now(), "net.node", "deliver",
-                              {{"node", at}, {"latency_s", latency_s}});
-      for (const auto& obs : observers_) obs(p, at);
-    }
-    if (adopt) spans_->pop();
-    spans_->end_packet(p.uid, sim_->now());
-  } else {
-    for (const auto& obs : observers_) obs(p, at);
+    deliver.emplace(spans_, now, "net.node", "deliver",
+                    std::initializer_list<sim::TraceField>{{"node", at}, {"latency_s", latency_s}});
   }
+  for (const auto& obs : observers_) obs(p, at);
+  deliver.reset();
+  if (adopt) spans_->pop();
 }
 
 std::vector<std::pair<NodeId, IfIndex>> Network::neighbors(NodeId n) const {

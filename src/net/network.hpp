@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "net/node.hpp"
@@ -81,6 +82,40 @@ class Link {
   Direction dirs_[2];
 };
 
+/// The packet-lifecycle events a Network reports through emit().
+enum class PacketEventKind : std::uint8_t {
+  kOriginate,  ///< uid assigned at the source: the packet's lifetime opens
+  kMirror,     ///< a filter's tap made a copy (the copy keeps the uid)
+  kRedirect,   ///< a filter rewrote the destination
+  kForward,    ///< a transit node decremented the TTL and passed it on
+  kEnqueue,    ///< accepted into a link's output queue
+  kDeliver,    ///< reached its destination: the lifetime closes
+  kDrop,       ///< died for `PacketEvent::reason`: the lifetime closes
+};
+
+/// Why a packet died. Each cause belongs to a different tussle, so every
+/// sink keeps them apart. Filter, ttl and no-route drops are a node's
+/// decision; queue-full and link-down drops happen on a link.
+enum class DropReason : std::uint8_t { kNone, kFilter, kTtl, kNoRoute, kQueueFull, kLinkDown };
+
+/// One packet-lifecycle event: what happened, to which packet, where, plus
+/// the one extra fact its kind's records need. Sites build it with
+/// designated initializers, so every field has a default.
+struct PacketEvent {
+  PacketEventKind kind = PacketEventKind::kOriginate;
+  DropReason reason = DropReason::kNone;  ///< kDrop only
+  std::uint64_t uid = 0;
+  FlowId flow = 0;
+  NodeId node = kNoNode;          ///< acting node; a link drop in flight names the receiver
+  LinkId link = 0;                ///< kEnqueue and link drops (queue-full, link-down)
+  std::uint64_t bytes = 0;        ///< kOriginate: modeled size, sizeof(Packet) + wire bytes
+  std::uint64_t queued = 0;       ///< kEnqueue: packets in the queue after the enqueue
+  std::uint8_t ttl = 0;           ///< kForward: the TTL after the decrement
+  double latency_s = 0;           ///< kDeliver: end-to-end latency, seconds
+  std::string_view detail = {};   ///< filter drop: the deciding filter's reason
+  bool disclosed = false;         ///< filter drop: the deciding filter discloses itself
+};
+
 /// Aggregate data-plane counters, with drop causes broken out — several
 /// experiments report *why* traffic died (filtered vs. congested vs.
 /// unroutable), since each cause belongs to a different tussle.
@@ -106,7 +141,7 @@ struct NetCounters {
 
 class Network {
  public:
-  explicit Network(sim::Simulator& sim) : sim_(&sim), tracer_(&sim.tracer()) {}
+  explicit Network(sim::Simulator& sim) : sim_(&sim) {}
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -137,12 +172,10 @@ class Network {
   PacketIdSource& packet_ids() noexcept;
 
   /// Tracer receiving this network's flow-provenance events (enqueue,
-  /// forward, drop-with-reason, deliver). Defaults to the owning
-  /// simulator's tracer, so two concurrent runs never share trace state;
-  /// it is disabled unless someone turns it on — the data plane pays one
-  /// branch per decision point either way.
-  sim::Tracer& tracer() noexcept { return *tracer_; }
-  void set_tracer(sim::Tracer& tracer) noexcept { tracer_ = &tracer; }
+  /// forward, drop-with-reason, deliver): the owning simulator's, so two
+  /// concurrent runs never share trace state. It is disabled unless someone
+  /// turns it on — the data plane pays one branch per event either way.
+  sim::Tracer& tracer() noexcept { return sim_->tracer(); }
 
   /// Causal span tracer, or nullptr (the default — the data plane then pays
   /// exactly one branch per decision point). When attached, every packet
@@ -159,17 +192,26 @@ class Network {
   sim::ShardAuditor* auditor() const noexcept { return sim_->auditor(); }
 
   /// Scale profiler, read through the owning simulator like the auditor.
-  /// add_node/connect register actors and lookahead links with it, and
-  /// Node::originate counts packet churn. Null (the default) costs one
-  /// pointer load + branch per registration point.
+  /// connect registers lookahead links with it. Null (the default) costs
+  /// one pointer load + branch per registration point.
   sim::ScaleProfiler* scale_profiler() const noexcept { return sim_->scale_profiler(); }
 
   /// Memory profiler, read through the owning simulator like the auditor.
-  /// add_node/connect register actor footprints, the data plane records
-  /// packet birth/death lifetimes, drop sites, link-queue occupancy, and
+  /// add_node/connect register actor footprints, emit() records packet
+  /// birth/death lifetimes and link-queue occupancy, and forwarding notes
   /// FIB pointer-chase depth. Null (the default) costs one pointer load +
   /// branch per hook point.
   sim::MemProfiler* mem_profiler() const noexcept { return sim_->mem_profiler(); }
+
+  /// The one choke point of the packet lifecycle: every originate, mirror,
+  /// redirect, forward, enqueue, deliver and drop site calls this exactly
+  /// once. It bumps the NetCounters field, opens or closes the packet's
+  /// MemProfiler lifetime (and samples "net.link_queue"), writes the span
+  /// tracer's packet, drop and redirect records, and renders the JSONL
+  /// trace line. Each sink is resolved when the event's kind needs it,
+  /// through the lane-aware accessors, so inside a sharded worker event
+  /// counters and profilers are the owner's lanes.
+  void emit(const PacketEvent& e);
 
   /// Observers invoked on every successful local delivery, after the node's
   /// own handler. Scenarios use them for global accounting; several can
@@ -203,7 +245,6 @@ class Network {
   NetCounters counters_;
   PacketIdSource ids_;
   std::vector<DeliveryObserver> observers_;
-  sim::Tracer* tracer_ = nullptr;
   sim::SpanTracer* spans_ = nullptr;
   bool fault_reporting_ = false;
 };

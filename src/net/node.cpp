@@ -4,7 +4,6 @@
 
 #include "net/network.hpp"
 #include "sim/mem_profile.hpp"
-#include "sim/scale_profile.hpp"
 #include "sim/shard_audit.hpp"
 
 namespace tussle::net {
@@ -39,20 +38,6 @@ class PacketSpanScope {
  private:
   sim::SpanTracer* sp_;
 };
-
-/// Terminal node-level drop: a zero-length span under the current context
-/// (the hop that decided) or, failing that, the packet span; then the
-/// packet's causal tree is closed.
-void span_node_drop(sim::SpanTracer* sp, sim::SimTime now, const Packet& p, NodeId node,
-                    std::string reason) {
-  if (sp == nullptr) return;
-  sim::SpanId parent = sp->current();
-  if (parent == sim::kNoSpan) parent = sp->find_packet(p.uid);
-  const sim::SpanId id = sp->begin_under(parent, now, "net.node", "drop",
-                                         {{"reason", std::move(reason)}, {"node", node}});
-  sp->end(id, now);
-  sp->end_packet(p.uid, now);
-}
 
 }  // namespace
 
@@ -119,19 +104,10 @@ void Node::originate(Packet p) {
   }
   p.uid = net_->packet_ids().next();
   p.sent_at_s = net_->simulator().now().as_seconds();
-  net_->counters().originated.add();
-  if (auto* sp = net_->scale_profiler()) {
-    sp->count_alloc("net.packet", sizeof(Packet) + p.size_bytes);
-  }
-  if (auto* mp = net_->mem_profiler()) {
-    // Birth of the packet's one identity: encapsulation and mirroring keep
-    // the uid, so the lifetime closes exactly once, at deliver or drop.
-    mp->packet_birth(p.uid, net_->simulator().now(), sizeof(Packet) + p.size_bytes);
-  }
-  if (auto* sp = net_->spans()) {
-    const sim::SpanId ps = sp->packet_span(net_->simulator().now(), p.uid, p.flow);
-    sp->annotate(ps, {"origin", id_});
-  }
+  // Birth of the packet's one identity: encapsulation and mirroring keep
+  // the uid, so the lifetime closes exactly once, at deliver or drop.
+  net_->emit({.kind = PacketEventKind::kOriginate, .uid = p.uid, .flow = p.flow, .node = id_,
+              .bytes = sizeof(Packet) + p.size_bytes});
   forward(std::move(p));
 }
 
@@ -198,18 +174,15 @@ void Node::receive(Packet p, IfIndex /*iface*/) {
     Packet copy = p;
     copy.dst = tap;
     copy.source_route.reset();
-    net_->counters().mirrored.add();
+    net_->emit({.kind = PacketEventKind::kMirror, .uid = copy.uid, .flow = copy.flow,
+                .node = id_});
     forward(std::move(copy));
   }
   if (blocked) {
     if (decision.action == FilterAction::kDrop) {
-      net_->counters().dropped_filter.add();
-      if (auto* mp = net_->mem_profiler()) mp->packet_dropped(p.uid, now);
-      TUSSLE_TRACE_EVENT(net_->tracer(), net_->simulator().now(), sim::TraceLevel::kInfo,
-                         "net.node", "drop", {"reason", "filter:" + decision.reason},
-                         {"uid", p.uid}, {"flow", p.flow}, {"node", id_},
-                         {"disclosed", decided_by_disclosed});
-      span_node_drop(sp, now, p, id_, "filter:" + decision.reason);
+      net_->emit({.kind = PacketEventKind::kDrop, .reason = DropReason::kFilter, .uid = p.uid,
+                  .flow = p.flow, .node = id_, .detail = decision.reason,
+                  .disclosed = decided_by_disclosed});
       // §VI-A "design what happens then": a *disclosed* control point
       // reports the failure to the sender; an undisclosed one is silent
       // loss, which is exactly what makes covert controls hard to debug.
@@ -227,70 +200,48 @@ void Node::receive(Packet p, IfIndex /*iface*/) {
       return;
     }
     if (decision.action == FilterAction::kRedirect && decision.redirect_to) {
-      net_->counters().redirected.add();
-      TUSSLE_TRACE_EVENT(net_->tracer(), net_->simulator().now(), sim::TraceLevel::kInfo,
-                         "net.node", "redirect", {"uid", p.uid}, {"flow", p.flow},
-                         {"node", id_});
-      if (sp != nullptr) sp->instant(now, "net.node", "redirect", {{"node", id_}});
+      net_->emit({.kind = PacketEventKind::kRedirect, .uid = p.uid, .flow = p.flow, .node = id_});
       p.dst = *decision.redirect_to;
     }
   }
 
-  if (owns(p.dst)) {
-    // Tunnel endpoint: unwrap and keep going with the inner packet.
-    if (p.inner) {
-      if (auto inner = p.decapsulate()) {
-        if (auto* mp = net_->mem_profiler()) {
-          // Decapsulation copies the inner packet out of its shared_ptr:
-          // transient churn, allocated and freed within the event. The
-          // packet identity (uid) survives, so no lifetime closes here.
-          mp->count_alloc("net.packet.decap", sizeof(Packet));
-          mp->count_free("net.packet.decap", sizeof(Packet));
-        }
-        forward(std::move(*inner));
-        return;
-      }
-    }
-    if (local_handler_) local_handler_(p);
-    net_->notify_delivered(p, id_);
-    return;
-  }
-
+  if (deliver_local(p)) return;
   if (p.ttl == 0) {
-    net_->counters().dropped_ttl.add();
-    if (auto* mp = net_->mem_profiler()) mp->packet_dropped(p.uid, now);
-    TUSSLE_TRACE_EVENT(net_->tracer(), net_->simulator().now(), sim::TraceLevel::kInfo,
-                       "net.node", "drop", {"reason", "ttl"}, {"uid", p.uid},
-                       {"flow", p.flow}, {"node", id_});
-    span_node_drop(sp, now, p, id_, "ttl");
+    net_->emit({.kind = PacketEventKind::kDrop, .reason = DropReason::kTtl, .uid = p.uid,
+                .flow = p.flow, .node = id_});
     return;
   }
   p.ttl -= 1;
-  net_->counters().forwarded.add();
-  TUSSLE_TRACE_EVENT(net_->tracer(), net_->simulator().now(), sim::TraceLevel::kDebug,
-                     "net.node", "forward", {"uid", p.uid}, {"flow", p.flow},
-                     {"node", id_}, {"ttl", p.ttl});
+  net_->emit({.kind = PacketEventKind::kForward, .uid = p.uid, .flow = p.flow, .node = id_,
+              .ttl = p.ttl});
   forward(std::move(p));
+}
+
+bool Node::deliver_local(Packet& p) {
+  if (!owns(p.dst)) return false;
+  // Tunnel endpoint: unwrap and keep going with the inner packet.
+  if (p.inner) {
+    if (auto inner = p.decapsulate()) {
+      if (auto* mp = net_->mem_profiler()) {
+        // Decapsulation copies the inner packet out of its shared_ptr:
+        // transient churn, allocated and freed within the event. The
+        // packet identity (uid) survives, so no lifetime closes here.
+        mp->count_alloc("net.packet.decap", sizeof(Packet));
+        mp->count_free("net.packet.decap", sizeof(Packet));
+      }
+      forward(std::move(*inner));
+      return true;
+    }
+  }
+  if (local_handler_) local_handler_(p);
+  net_->notify_delivered(p, id_);
+  return true;
 }
 
 void Node::forward(Packet p) {
   // Local delivery first: a decapsulated or originated packet may already be
   // at its destination, and the FIB's default route must not bounce it away.
-  if (owns(p.dst)) {
-    if (p.inner) {
-      if (auto inner = p.decapsulate()) {
-        if (auto* mp = net_->mem_profiler()) {
-          mp->count_alloc("net.packet.decap", sizeof(Packet));
-          mp->count_free("net.packet.decap", sizeof(Packet));
-        }
-        forward(std::move(*inner));
-        return;
-      }
-    }
-    if (local_handler_) local_handler_(p);
-    net_->notify_delivered(p, id_);
-    return;
-  }
+  if (deliver_local(p)) return;
 
   if (auto* mp = net_->mem_profiler()) {
     // One FIB lookup chases node -> fib -> prefix bucket -> entry ->
@@ -315,11 +266,8 @@ void Node::forward(Packet p) {
   }
 
   if (!iface) {
-    net_->counters().dropped_no_route.add();
-    TUSSLE_TRACE_EVENT(net_->tracer(), net_->simulator().now(), sim::TraceLevel::kInfo,
-                       "net.node", "drop", {"reason", "no-route"}, {"uid", p.uid},
-                       {"flow", p.flow}, {"node", id_});
-    span_node_drop(net_->spans(), net_->simulator().now(), p, id_, "no-route");
+    net_->emit({.kind = PacketEventKind::kDrop, .reason = DropReason::kNoRoute, .uid = p.uid,
+                .flow = p.flow, .node = id_});
     return;
   }
   net_->link(link_of(*iface)).transmit_from(id_, std::move(p));

@@ -111,6 +111,10 @@ class Node {
   /// Audits one mutation of this node's state (one null-pointer branch
   /// when no auditor is attached to the owning simulator).
   void audit_mutation(const char* what) const;
+  /// Local delivery: a packet addressed to this node is unwrapped and sent
+  /// on if it is a tunnel packet, else handed to the local handler and the
+  /// network's delivery observers. False when the packet is not for us.
+  bool deliver_local(Packet& p);
   void forward(Packet p);
   bool run_filters(const Packet& p, FilterDecision& out, bool& disclosed,
                    std::vector<Address>* taps, sim::SpanTracer* spans,

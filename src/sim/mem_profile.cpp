@@ -6,7 +6,6 @@
 
 #include "sim/html.hpp"
 #include "sim/json.hpp"
-#include "sim/scale_profile.hpp"
 
 namespace tussle::sim {
 
@@ -406,20 +405,6 @@ std::string MemProfiler::report_json() const {
 
   w.end_object();
   return w.str();
-}
-
-// ------------------------------------------------------- shared accounting
-
-void profile_actor(ScaleProfiler* sp, MemProfiler* mp, const char* kind,
-                   std::uint64_t bytes) {
-  if (sp != nullptr) sp->register_actor(kind, bytes);
-  if (mp != nullptr) mp->register_actor(kind, bytes);
-}
-
-void profile_alloc(ScaleProfiler* sp, MemProfiler* mp, const char* kind,
-                   std::uint64_t bytes) {
-  if (sp != nullptr) sp->count_alloc(kind, bytes);
-  if (mp != nullptr) mp->count_alloc(kind, bytes);
 }
 
 // --------------------------------------------------------------- dashboard

@@ -1,9 +1,9 @@
 // Memory profiler: the allocation-site / object-lifetime / locality pass.
 //
-// ROADMAP item 1 calls for a million-actor data plane (struct-of-arrays
-// actors, arena/pool allocation, calendar queue). Before restructuring the
-// engine around that design, this profiler measures — on today's
-// pointer-heavy engine — exactly the quantities the refactor must improve:
+// The scaling plan is a million-actor data plane (struct-of-arrays actors,
+// arena/pool allocation, calendar queue). Before the engine is rebuilt
+// around that design, this profiler measures — on today's pointer-heavy
+// engine — exactly the quantities the refactor must improve:
 //
 //  (a) allocation sites: per-component alloc/free counters and live-bytes
 //      (event control blocks, packets, nodes/links, routing-table entries,
@@ -22,10 +22,11 @@
 //  (d) peak/steady live-bytes per shard, so the sharded backend's memory
 //      footprint is attributable per owner.
 //
-// One accounting source: ScaleProfiler's bytes-per-actor tables and this
-// profiler's live-bytes are fed by the same registration calls (see
-// profile_actor / profile_alloc below) and share kEventControlBlockBytes,
-// so the two reports can never disagree on a size.
+// One accounting source: this is the only profiler that counts
+// allocations and actors. The data plane's packet lifetimes and link-queue
+// samples all arrive through net::Network::emit, and world builders
+// register actors here directly, so no second report can disagree on a
+// size.
 //
 // Determinism contract (same as spans/timeseries/scale — detlint's
 // mem-wall-clock check enforces the first rule statically):
@@ -54,14 +55,11 @@
 
 namespace tussle::sim {
 
-class ScaleProfiler;
-
 /// Estimated resident bytes of one scheduled event: the heap Entry (time,
 /// seq, id, std::function) plus the typical out-of-line closure the
 /// std::function small-buffer optimisation cannot hold. A model constant,
 /// not a measurement — the arena-allocation refactor gates on the *count*;
-/// bytes give the reports a common unit with packets and actors. Shared by
-/// ScaleProfiler and MemProfiler so their event-churn rows always agree.
+/// bytes give the report a common unit with packets and actors.
 inline constexpr std::uint64_t kEventControlBlockBytes = 96;
 
 /// Base pointer-chase depth of one dispatch before any component adds its
@@ -299,15 +297,6 @@ class MemProfiler : public Observer {
   std::uint64_t merged_runs_ = 0;
   std::int64_t merged_peak_ = 0;
 };
-
-/// Registers one actor into whichever of the two profilers is attached —
-/// the single accounting source keeping ScaleProfiler bytes-per-actor and
-/// MemProfiler live-bytes in agreement by construction.
-void profile_actor(ScaleProfiler* sp, MemProfiler* mp, const char* kind,
-                   std::uint64_t bytes);
-/// Counts one transient allocation into whichever profiler is attached.
-void profile_alloc(ScaleProfiler* sp, MemProfiler* mp, const char* kind,
-                   std::uint64_t bytes);
 
 /// Self-contained zero-JS HTML dashboard section: stat tiles, live-bytes
 /// timeline, lifetime histograms, per-site allocation bars, locality

@@ -6,7 +6,6 @@
 
 #include "sim/html.hpp"
 #include "sim/json.hpp"
-#include "sim/mem_profile.hpp"  // kEventControlBlockBytes: shared with MemProfiler
 
 namespace tussle::sim {
 
@@ -43,19 +42,14 @@ void ScaleProfiler::set_tick(Duration tick) {
   tick_ = tick;
 }
 
-void ScaleProfiler::on_schedule(std::uint64_t id, SimTime now, SimTime at,
-                                const TaskTag& tag, ShardId origin) {
+void ScaleProfiler::on_schedule(std::uint64_t id, SimTime now, SimTime /*at*/,
+                                const TaskTag& /*tag*/, ShardId origin) {
   ++scheduled_;
   Pending p;
   p.depth = in_event_ ? cur_.depth + 1 : 1;
   p.origin = origin;
   p.sched_ns = now.as_nanos();
   pending_[id] = p;
-  (void)at;
-  Tally& t = allocs_[std::string("sim.event/") +
-                     (tag.component != nullptr ? tag.component : "(untagged)")];
-  t.count += 1;
-  t.bytes += kEventControlBlockBytes;
 }
 
 void ScaleProfiler::on_cancel(std::uint64_t id, SimTime /*now*/) {
@@ -118,18 +112,6 @@ void ScaleProfiler::register_link(ShardId a, ShardId b, Duration latency) {
   const std::int64_t lat = latency.as_nanos();
   auto [it, inserted] = links_.try_emplace(key, lat);
   if (!inserted && lat < it->second) it->second = lat;
-}
-
-void ScaleProfiler::register_actor(const char* kind, std::uint64_t bytes) {
-  Tally& t = actors_[kind != nullptr ? kind : "(unknown)"];
-  t.count += 1;
-  t.bytes += bytes;
-}
-
-void ScaleProfiler::count_alloc(const char* kind, std::uint64_t bytes) {
-  Tally& t = allocs_[kind != nullptr ? kind : "(unknown)"];
-  t.count += 1;
-  t.bytes += bytes;
 }
 
 // ----------------------------------------------------------------- results
@@ -341,14 +323,6 @@ void ScaleProfiler::merge(const ScaleProfiler& other) {
   queue_samples_ += other.queue_samples_;
   queue_sum_ += other.queue_sum_;
   queue_max_ = std::max(queue_max_, other.queue_max_);
-  for (const auto& [k, t] : other.allocs_) {
-    allocs_[k].count += t.count;
-    allocs_[k].bytes += t.bytes;
-  }
-  for (const auto& [k, t] : other.actors_) {
-    actors_[k].count += t.count;
-    actors_[k].bytes += t.bytes;
-  }
 }
 
 // ------------------------------------------------------------------ report
@@ -451,28 +425,6 @@ std::string ScaleProfiler::report_json() const {
   }
   w.end_array();
   w.end_object();
-
-  w.key("allocs").begin_array();
-  for (const auto& [kind, t] : allocs_) {
-    w.begin_object();
-    w.key("kind").value(kind);
-    w.key("count").value(t.count);
-    w.key("bytes").value(t.bytes);
-    w.end_object();
-  }
-  w.end_array();
-
-  w.key("actors").begin_array();
-  for (const auto& [kind, t] : actors_) {
-    w.begin_object();
-    w.key("kind").value(kind);
-    w.key("count").value(t.count);
-    w.key("bytes").value(t.bytes);
-    w.key("bytes_per_actor").value(
-        t.count > 0 ? static_cast<double>(t.bytes) / static_cast<double>(t.count) : 0.0);
-    w.end_object();
-  }
-  w.end_array();
 
   const auto costs = total_costs();
   w.key("speedup").begin_object();

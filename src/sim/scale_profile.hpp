@@ -1,10 +1,10 @@
 // Scale profiler: the PDES-readiness measurement pass.
 //
-// ROADMAP items 1–2 call for a million-actor data plane and in-run
-// conservative parallel execution (AS-sharded, barrier-synchronized,
-// link latency as lookahead). Before rebuilding the engine around that
-// design, this profiler measures — on today's serial engine — exactly the
-// quantities the split will live or die by:
+// The scaling plan is a million-actor data plane and in-run conservative
+// parallel execution (AS-sharded, barrier-synchronized, link latency as
+// lookahead — the design sim::ShardedBackend implements). This profiler
+// measures, on the serial engine, exactly the quantities that design
+// lives or dies by:
 //
 //  (a) per-shard load: event counts and dispatch shares per provisional
 //      shard (the AS id the ShardAuditor attributes each event to), both
@@ -19,9 +19,9 @@
 //      while another event is dispatching is its causal child, so the
 //      longest schedule-parent chain is the span of the event DAG and
 //      work/span bounds any parallel speedup;
-//  (d) memory observability: event-queue depth histograms, per-component
-//      allocation counters for event/packet churn, and bytes-per-actor
-//      estimates — the baseline the struct-of-arrays refactor must beat.
+//  (d) the event-queue depth histogram, sampled at each dispatch. Memory
+//      itself (allocation sites, actor footprints, lifetimes) is
+//      MemProfiler's report (sim/mem_profile.hpp).
 //
 // It also *predicts* barrier-round PDES speedup at k worker shards by
 // replaying the recorded per-window shard loads through a virtual
@@ -69,8 +69,7 @@ class ScaleProfiler : public Observer {
   // --- observer hooks ------------------------------------------------------
   /// An event was scheduled: `id` is the EventId value, `now` the schedule
   /// time, `at` the fire time, `origin` the shard the scheduling event had
-  /// claimed (kNoShard during setup). Records causal depth, origin, and
-  /// event-allocation churn per component.
+  /// claimed (kNoShard during setup). Records causal depth and origin.
   void on_schedule(std::uint64_t id, SimTime now, SimTime at, const TaskTag& tag,
                    ShardId origin) override;
   /// A pending event was cancelled before firing.
@@ -91,12 +90,6 @@ class ScaleProfiler : public Observer {
   /// latency; cross-shard minima become the PDES lookahead distribution.
   /// Same-shard registrations are ignored.
   void register_link(ShardId a, ShardId b, Duration latency);
-  /// Counts one actor of `kind` (node, link, agent…) at an estimated
-  /// resident size — the bytes-per-actor baseline for the SoA refactor.
-  void register_actor(const char* kind, std::uint64_t bytes);
-  /// Counts one transient allocation of `kind` (packet churn and the
-  /// like). Event-control-block churn is counted automatically.
-  void count_alloc(const char* kind, std::uint64_t bytes);
 
   // --- results -------------------------------------------------------------
   /// Total events dispatched (the "work" of the work/span bound).
@@ -156,13 +149,6 @@ class ScaleProfiler : public Observer {
   const std::map<std::uint32_t, std::uint64_t>& depth_profile() const noexcept {
     return depth_hist_;
   }
-
-  struct Tally {
-    std::uint64_t count = 0;
-    std::uint64_t bytes = 0;
-  };
-  const std::map<std::string, Tally>& allocs() const noexcept { return allocs_; }
-  const std::map<std::string, Tally>& actors() const noexcept { return actors_; }
 
   /// The virtual barrier-executor prediction: (k, predicted speedup) for
   /// k ∈ {1,2,3,4,6,8,12,16,24,32,48,64}, plus k = 0 meaning ∞ (the pure
@@ -226,8 +212,6 @@ class ScaleProfiler : public Observer {
   std::uint64_t queue_samples_ = 0;
   std::uint64_t queue_max_ = 0;
   std::uint64_t queue_sum_ = 0;
-  std::map<std::string, Tally> allocs_;
-  std::map<std::string, Tally> actors_;
 
   // --- own critical path (this instance's recording) ---
   std::uint64_t own_span_ = 0;

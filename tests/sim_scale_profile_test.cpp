@@ -98,22 +98,6 @@ TEST(ScaleProfile, GoldenThreeAsChain) {
   EXPECT_GE(tm.at({1u, 2u}).min_delay_ns, 1'000'000);
   EXPECT_GE(tm.at({2u, 3u}).min_delay_ns, 2'000'000);
 
-  // Memory observability: the world registered its actors, and both event
-  // control blocks and the injected packet were counted.
-  const auto& actors = t.scale.actors();
-  ASSERT_EQ(actors.count("net.node"), 1u);
-  EXPECT_EQ(actors.at("net.node").count, 3u);
-  ASSERT_EQ(actors.count("net.link"), 1u);
-  EXPECT_EQ(actors.at("net.link").count, 2u);
-  const auto& allocs = t.scale.allocs();
-  ASSERT_EQ(allocs.count("net.packet"), 1u);
-  EXPECT_GE(allocs.at("net.packet").count, 1u);
-  bool saw_event_alloc = false;
-  for (const auto& [kind, tally] : allocs) {
-    if (kind.rfind("sim.event/", 0) == 0 && tally.count > 0) saw_event_alloc = true;
-  }
-  EXPECT_TRUE(saw_event_alloc);
-
   // Queue stats sampled once per dispatch.
   const auto q = t.scale.queue_stats();
   EXPECT_EQ(q.samples, t.scale.work());
@@ -123,7 +107,7 @@ TEST(ScaleProfile, GoldenThreeAsChain) {
   for (const char* key :
        {"\"work\"", "\"critical_path\"", "\"depth_profile\"", "\"shards\"",
         "\"imbalance\"", "\"shard_load\"", "\"traffic_matrix\"", "\"cross_shard_events\"",
-        "\"lookahead\"", "\"queue\"", "\"allocs\"", "\"actors\"", "\"speedup\""}) {
+        "\"lookahead\"", "\"queue\"", "\"speedup\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
   EXPECT_NE(json.find("\"model\":\"barrier-window-lpt\""), std::string::npos);
