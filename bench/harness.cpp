@@ -281,7 +281,7 @@ core::SweepResult Harness::scenario(const core::ScenarioSpec& spec, const Render
   opts.base_seed = parallel_.seed;
   opts.jobs = parallel_.sweep_jobs(serial_required_);
   opts.replicas = parallel_.replicas;
-  opts.profile = profile_to_stderr_ || json_requested();
+  opts.profile = profile_to_stderr_ || !json_path_.empty();
   opts.spans = spans_requested_;
   opts.heartbeat_seconds = heartbeat_seconds_;
   opts.timeseries_seconds = timeseries_seconds_;
@@ -429,7 +429,6 @@ int run(int argc, char** argv, const Experiment& exp,
     return 2;
   }
 
-  const std::uint64_t total_events = h.sweep_events_ + h.extra_events_;
   const std::string dashboard_title = exp.id + " \xc2\xb7 " + exp.section;
 
   if (!flags->chrome_trace_path.empty()) {
@@ -453,7 +452,7 @@ int run(int argc, char** argv, const Experiment& exp,
     std::fputs(sim::explain_flow(h.spans_.spans(), *flags->explain_flow).c_str(), stdout);
   }
 
-  if (h.timeseries_requested()) {
+  if (h.timeseries_seconds_ > 0) {
     std::size_t samples = 0;
     for (const auto& [name, ts] : h.timeseries_.items()) samples += ts.size();
     if (!flags->ts_csv_path.empty() &&
@@ -572,7 +571,7 @@ int run(int argc, char** argv, const Experiment& exp,
   }
 
   if (!flags->json_path.empty() &&
-      !write_file(flags->json_path, json_report(exp, h.metrics_.snapshot(), total_events,
+      !write_file(flags->json_path, json_report(exp, h.metrics_.snapshot(), h.sweep_events_,
                                                 wall_seconds, h.profiler_.hotspots_json()))) {
     return 2;
   }

@@ -129,70 +129,6 @@ class Harness {
   /// automatically; benches may add extra gauges of their own.
   sim::MetricRegistry& metrics() noexcept { return metrics_; }
 
-  /// The merged event-loop profile across every profiled run.
-  sim::LoopProfiler& profiler() noexcept { return profiler_; }
-
-  /// The merged causal-span archive (runs folded in run-index order);
-  /// empty unless a span flag was given. Scenario bodies opt in by wiring
-  /// ctx.spans() into the components they build.
-  sim::SpanTracer& spans() noexcept { return spans_; }
-  /// True when --chrome-trace/--span-tree/--explain asked for spans.
-  bool spans_requested() const noexcept { return spans_requested_; }
-
-  /// The merged time-series store: every run's recorder folded in
-  /// run-index order under "<case>[.<params>][.r<replica>]." prefixes;
-  /// empty unless a time-series flag was given. Scenario bodies opt in via
-  /// ctx.timeseries().
-  sim::TimeSeriesStore& timeseries() noexcept { return timeseries_; }
-  /// True when --timeseries/--ts-csv/--ts-json/--dashboard was given.
-  bool timeseries_requested() const noexcept { return timeseries_seconds_ > 0; }
-
-  /// The merged shard-audit across every audited run (run-index order);
-  /// empty unless --audit / TUSSLE_AUDIT was given. Scenario bodies opt in
-  /// by calling ctx.instrument(sim) — the same call that wires the
-  /// profiler — and by handing ctx.audit() to shared components.
-  sim::ShardAuditor& audit() noexcept { return audit_; }
-  /// True when --audit/--audit-json or TUSSLE_AUDIT=1 asked for auditing.
-  bool audit_requested() const noexcept { return audit_requested_; }
-
-  /// The merged scale profile across every profiled run (run-index order);
-  /// empty unless a --scale flag was given. Like the auditor, scenario
-  /// bodies opt in via ctx.instrument(sim).
-  sim::ScaleProfiler& scale() noexcept { return scale_; }
-  /// True when --scale-profile/--scale-json/--scale-dashboard was given.
-  bool scale_requested() const noexcept { return scale_requested_; }
-
-  /// The merged execution (wall-clock) profile across every profiled run
-  /// (run-index order); empty unless an --exec flag was given. Scenario
-  /// bodies opt in via ctx.instrument(sim). Exec reports are exempt from
-  /// the byte-identity contract — the harness writes them to their own
-  /// files, never into the .metrics object.
-  sim::ExecProfiler& exec() noexcept { return exec_; }
-  /// True when --exec-profile/--exec-json/--exec-trace/--exec-dashboard
-  /// was given.
-  bool exec_requested() const noexcept { return exec_requested_; }
-
-  /// The merged memory profile across every profiled run (run-index
-  /// order); empty unless a --mem flag was given. Scenario bodies opt in
-  /// via ctx.instrument(sim). Sim-deterministic throughout, so the merged
-  /// report is byte-identical at any --jobs and --shards.
-  sim::MemProfiler& mem() noexcept { return mem_; }
-  /// True when --mem-profile/--mem-json/--mem-dashboard was given.
-  bool mem_requested() const noexcept { return mem_requested_; }
-
-  /// Adds to the run's total simulated-event count for engines that run
-  /// outside the sweep bodies (sweep runs report via ctx.add_events()).
-  void add_events(std::size_t n) noexcept { extra_events_ += n; }
-
-  bool json_requested() const noexcept { return !json_path_.empty(); }
-  bool list_requested() const noexcept { return list_; }
-
-  std::uint64_t seed() const noexcept { return parallel_.seed; }
-  std::size_t jobs() const noexcept { return parallel_.jobs; }
-  /// Requested in-run shard count (0 = serial backend). Serial-only sinks
-  /// (--trace/span flags) override it per scenario; --heartbeat does not.
-  std::size_t shards() const noexcept { return parallel_.shards; }
-
  private:
   friend int run(int argc, char** argv, const Experiment& exp,
                  const std::function<void(Harness&)>& body);
@@ -217,7 +153,6 @@ class Harness {
   bool exec_requested_ = false;
   bool mem_requested_ = false;
   std::vector<Case> cases_;
-  std::size_t extra_events_ = 0;
   std::size_t sweep_events_ = 0;
   bool profile_to_stderr_ = false;
   bool serial_required_ = false;  ///< --trace/--heartbeat share global sinks (forces --jobs 1)

@@ -1,8 +1,8 @@
 // Runtime cross-shard access auditor: the dynamic half of the shard-safety
-// analysis (tools/sharedlint is the static half).
+// analysis (`lint sharedlint` in tools/lint is the static half).
 //
-// The PDES refactor (ROADMAP item 2) will partition the world by AS into
-// shards, each with its own event queue, synchronized in barrier rounds
+// The sharded PDES backend (sim/sharded_backend.hpp) partitions the world by
+// AS into shards, each with its own event queue, synchronized in barrier rounds
 // with link latency as lookahead. That is only sound if an event handler
 // never mutates state owned by another shard except by scheduling an event
 // — the invariant Shadow enforced structurally before it could split its

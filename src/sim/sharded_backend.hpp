@@ -1,5 +1,5 @@
 // Conservative barrier-synchronized parallel execution (PDES) for the
-// Simulator — the engine ROADMAP item 2 calls for, shaped like Shadow's
+// Simulator — in-run parallelism across ASes, shaped like Shadow's
 // scheduler/worker split and sized by what sim::ScaleProfiler measured.
 //
 // Model

@@ -1,4 +1,4 @@
-// Runtime twin of tools/detlint: the determinism *contract* under test.
+// Runtime twin of the detlint rule set: the determinism *contract* under test.
 //
 // detlint statically rejects constructs that break bit-exact replay; these
 // tests assert the positive property — the same seed produces the same event
