@@ -130,6 +130,23 @@ void BM_PolicyEval(benchmark::State& state) {
 }
 BENCHMARK(BM_PolicyEval);
 
+// One whole filter call, binding the packet's fields included (BM_PolicyEval
+// above is the evaluator alone, over a pre-built context): the ISP filter of
+// perfbench's aimd-middlebox workload on a web packet it accepts.
+void BM_PacketFilter(benchmark::State& state) {
+  policy::PolicySet ps(policy::standard_packet_ontology(), policy::Effect::kPermit);
+  ps.add("no-p2p", policy::Effect::kDeny, "proto == 'p2p'", "application");
+  ps.add("no-oversize", policy::Effect::kDeny, "size > 9000 and not encrypted", "economics");
+  const net::PacketFilter f = policy::make_packet_filter("isp", /*disclosed=*/true, std::move(ps));
+  net::Packet p;
+  p.proto = net::AppProto::kWeb;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(f.fn(p));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PacketFilter);
+
 void BM_PolicyCompile(benchmark::State& state) {
   auto onto = policy::standard_packet_ontology();
   for (auto _ : state) {

@@ -121,7 +121,11 @@ class Lexer {
       ++end;
     }
     t.text = src_.substr(i_, end - i_);
-    t.number = std::stod(t.text);
+    std::size_t used = 0;
+    t.number = std::stod(t.text, &used);
+    if (used != t.text.size()) {
+      throw ParseError("malformed number '" + t.text + "' at offset " + std::to_string(t.pos));
+    }
     i_ = end;
     return t;
   }
@@ -186,6 +190,7 @@ struct Expr::Node {
   Op op = Op::kLiteral;
   Value literal;
   std::string attr;
+  std::size_t slot = 0;     // for kAttr: the attribute's ontology slot
   std::vector<Value> list;  // for kIn
   std::shared_ptr<const Node> lhs;
   std::shared_ptr<const Node> rhs;
@@ -407,6 +412,7 @@ class Parser {
       auto n = std::make_shared<Node>();
       n->op = Op::kAttr;
       n->attr = cur_.text;
+      n->slot = onto_.slot_of(cur_.text);
       n->type = onto_.type_of(cur_.text);
       advance();
       return n;
@@ -419,40 +425,78 @@ class Parser {
   Token cur_;
 };
 
-Value eval_node(const Node& n, const Context& ctx) {
+// How an attribute node is read: by name from a hand-built Context, or by
+// slot from a SlotContext. Both throw OntologyError for an unbound attribute.
+struct ByName {
+  const Context& ctx;
+  const Value& operator()(const Node& n) const { return ctx.get(n.attr); }
+};
+
+struct BySlot {
+  const SlotContext& ctx;
+  const Value& operator()(const Node& n) const {
+    const int column = n.slot < ctx.column.size() ? ctx.column[n.slot] : -1;
+    if (column < 0) throw OntologyError("attribute not bound: " + n.attr);
+    return ctx.values[column];
+  }
+};
+
+template <class Read>
+Value eval_node(const Node& n, const Read& read);
+
+// An operand: a leaf by reference, anything else evaluated into `scratch`.
+// Strings only come from leaves, so evaluation never copies one.
+template <class Read>
+const Value& operand(const Node& n, const Read& read, Value& scratch) {
   switch (n.op) {
     case Op::kLiteral: return n.literal;
     case Op::kAttr: {
-      const Value& v = ctx.get(n.attr);
+      const Value& v = read(n);
       if (type_of(v) != n.type) {
         throw TypeError("attribute " + n.attr + " bound to wrong type at eval time");
       }
       return v;
     }
-    case Op::kNot: return !std::get<bool>(eval_node(*n.lhs, ctx));
+    default: return scratch = eval_node(n, read);
+  }
+}
+
+template <class Read>
+Value eval_node(const Node& n, const Read& read) {
+  Value a, b;  // scratch for operands that are not leaves
+  switch (n.op) {
+    case Op::kLiteral:
+    case Op::kAttr: return operand(n, read, a);
+    case Op::kNot: return !std::get<bool>(eval_node(*n.lhs, read));
     case Op::kAnd:
       // Short-circuit: policies often guard expensive attributes.
-      if (!std::get<bool>(eval_node(*n.lhs, ctx))) return false;
-      return eval_node(*n.rhs, ctx);
+      if (!std::get<bool>(eval_node(*n.lhs, read))) return false;
+      return eval_node(*n.rhs, read);
     case Op::kOr:
-      if (std::get<bool>(eval_node(*n.lhs, ctx))) return true;
-      return eval_node(*n.rhs, ctx);
-    case Op::kEq: return eval_node(*n.lhs, ctx) == eval_node(*n.rhs, ctx);
-    case Op::kNe: return !(eval_node(*n.lhs, ctx) == eval_node(*n.rhs, ctx));
+      if (std::get<bool>(eval_node(*n.lhs, read))) return true;
+      return eval_node(*n.rhs, read);
+    case Op::kEq:
+    case Op::kNe: {
+      // Equality reads its right operand first (the order of earlier
+      // releases), an ordering its left: when both operands fail, the order
+      // decides which error is raised.
+      const Value& y = operand(*n.rhs, read, b);
+      const Value& x = operand(*n.lhs, read, a);
+      const bool equal = x == y;
+      return n.op == Op::kEq ? equal : !equal;
+    }
     case Op::kLt:
     case Op::kLe:
     case Op::kGt:
     case Op::kGe: {
-      const Value a = eval_node(*n.lhs, ctx);
-      const Value b = eval_node(*n.rhs, ctx);
+      const Value& x = operand(*n.lhs, read, a);
+      const Value& y = operand(*n.rhs, read, b);
       int c;
-      if (a.index() == 1) {
-        const double x = std::get<double>(a), y = std::get<double>(b);
-        c = (x < y) ? -1 : (x > y ? 1 : 0);
+      if (x.index() == 1) {
+        const double l = std::get<double>(x), r = std::get<double>(y);
+        c = (l < r) ? -1 : (l > r ? 1 : 0);
       } else {
-        const auto& x = std::get<std::string>(a);
-        const auto& y = std::get<std::string>(b);
-        c = x.compare(y);
+        c = std::get<std::string>(x).compare(std::get<std::string>(y));
       }
       switch (n.op) {
         case Op::kLt: return c < 0;
@@ -462,7 +506,7 @@ Value eval_node(const Node& n, const Context& ctx) {
       }
     }
     case Op::kIn: {
-      const Value subject = eval_node(*n.lhs, ctx);
+      const Value& subject = operand(*n.lhs, read, a);
       for (const Value& v : n.list) {
         if (v == subject) return true;
       }
@@ -472,15 +516,15 @@ Value eval_node(const Node& n, const Context& ctx) {
     case Op::kSub:
     case Op::kMul:
     case Op::kDiv: {
-      const double a = std::get<double>(eval_node(*n.lhs, ctx));
-      const double b = std::get<double>(eval_node(*n.rhs, ctx));
+      const double l = std::get<double>(eval_node(*n.lhs, read));
+      const double r = std::get<double>(eval_node(*n.rhs, read));
       switch (n.op) {
-        case Op::kAdd: return a + b;
-        case Op::kSub: return a - b;
-        case Op::kMul: return a * b;
+        case Op::kAdd: return l + r;
+        case Op::kSub: return l - r;
+        case Op::kMul: return l * r;
         default:
-          if (b == 0.0) throw TypeError("division by zero in policy expression");
-          return a / b;
+          if (r == 0.0) throw TypeError("division by zero in policy expression");
+          return l / r;
       }
     }
   }
@@ -503,11 +547,16 @@ Expr Expr::compile(const std::string& source, const Ontology& onto) {
   return Expr(root, root->type, source);
 }
 
-Value Expr::eval(const Context& ctx) const { return eval_node(*root_, ctx); }
+Value Expr::eval(const Context& ctx) const { return eval_node(*root_, ByName{ctx}); }
 
 bool Expr::test(const Context& ctx) const {
   if (type_ != ValueType::kBool) throw TypeError("test() on non-bool expression");
   return std::get<bool>(eval(ctx));
+}
+
+bool Expr::test(const SlotContext& ctx) const {
+  if (type_ != ValueType::kBool) throw TypeError("test() on non-bool expression");
+  return std::get<bool>(eval_node(*root_, BySlot{ctx}));
 }
 
 std::vector<std::string> Expr::referenced_attributes() const {

@@ -18,7 +18,9 @@
 //
 // Compilation checks every identifier against an Ontology and type-checks
 // operators, so malformed policy fails at install time, not on the fast
-// path.
+// path. Each attribute node also records the attribute's ontology slot, so
+// an expression evaluates either by name (Context) or by slot
+// (SlotContext) through the same evaluator, with the same errors.
 #pragma once
 
 #include <memory>
@@ -41,6 +43,9 @@ class Expr {
 
   /// Convenience for predicate use: evaluates and requires a bool result.
   bool test(const Context& ctx) const;
+  /// The same test with attributes read by slot. `ctx` must come from the
+  /// ontology this expression was compiled against.
+  bool test(const SlotContext& ctx) const;
 
   ValueType result_type() const noexcept { return type_; }
   const std::string& source() const noexcept { return source_; }

@@ -31,6 +31,11 @@ using RedirectResolver = std::function<std::optional<net::Address>(const std::st
 
 /// Wraps a PolicySet as a node filter. `name` identifies the controlling
 /// actor; `disclosed` feeds the paper's visibility requirement.
+///
+/// The filter decides as PolicySet::evaluate(context_for_packet(p)) would,
+/// with the same errors, but binds the attributes its rules read to packet
+/// fields once, here: a call reads only those fields, by slot, and
+/// allocates nothing unless it drops or redirects.
 net::PacketFilter make_packet_filter(std::string name, bool disclosed, PolicySet policy,
                                      RedirectResolver resolver = {});
 

@@ -36,11 +36,7 @@ bool PolicySet::remove(const std::string& name) {
 }
 
 Decision PolicySet::evaluate(const Context& ctx) const {
-  for (const Rule& r : rules_) {
-    if (r.when.test(ctx)) {
-      return Decision{r.effect, r.name, r.redirect_target};
-    }
-  }
+  if (const Rule* r = first_match(ctx)) return Decision{r->effect, r->name, r->redirect_target};
   return Decision{default_, {}, {}};
 }
 

@@ -62,6 +62,16 @@ class PolicySet {
   /// First-match evaluation; falls back to the default effect.
   Decision evaluate(const Context& ctx) const;
 
+  /// The first rule whose condition holds under `ctx` (a Context or a
+  /// SlotContext), or null when none does and the default effect applies.
+  template <class Ctx>
+  const Rule* first_match(const Ctx& ctx) const {
+    for (const Rule& r : rules_) {
+      if (r.when.test(ctx)) return &r;
+    }
+    return nullptr;
+  }
+
   /// Every cross-space attribute reference — empty means the rule set is
   /// modular along its declared tussle boundaries.
   std::vector<Coupling> cross_space_couplings() const;

@@ -39,15 +39,26 @@ const Value& Context::get(const std::string& name) const {
   return it->second;
 }
 
-ValueType Ontology::type_of(const std::string& name) const {
+Ontology& Ontology::declare(const std::string& name, ValueType t, std::string space) {
+  Attribute& a = attrs_.try_emplace(name, Attribute{t, {}, attrs_.size()}).first->second;
+  a.type = t;
+  if (!space.empty()) a.space = std::move(space);
+  return *this;
+}
+
+const Ontology::Attribute& Ontology::at(const std::string& name) const {
   auto it = attrs_.find(name);
   if (it == attrs_.end()) throw OntologyError("attribute not declared: " + name);
   return it->second;
 }
 
+ValueType Ontology::type_of(const std::string& name) const { return at(name).type; }
+
+std::size_t Ontology::slot_of(const std::string& name) const { return at(name).slot; }
+
 std::string Ontology::space_of(const std::string& name) const {
-  auto it = spaces_.find(name);
-  return it == spaces_.end() ? std::string{} : it->second;
+  auto it = attrs_.find(name);
+  return it == attrs_.end() ? std::string{} : it->second.space;
 }
 
 }  // namespace tussle::policy

@@ -1,7 +1,9 @@
 // Values and attribute contexts for the policy language.
 #pragma once
 
+#include <cstddef>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <variant>
@@ -59,6 +61,16 @@ class Context {
   std::map<std::string, Value> attrs_;
 };
 
+/// Attribute values read by slot (Ontology::slot_of) instead of by name: the
+/// binding a compiled packet filter fills once per packet. Slot s reads
+/// `values[column[s]]`. A slot whose column is negative, or lies past the
+/// end of `column`, is unbound: evaluation that reaches it throws
+/// OntologyError, as an absent Context entry does.
+struct SlotContext {
+  std::span<const int> column;
+  const Value* values = nullptr;
+};
+
 /// The declared attribute vocabulary. Expressions are checked against it at
 /// compile time, so an undeclared attribute fails *before* any packet flows.
 ///
@@ -66,22 +78,32 @@ class Context {
 /// ("qos", "application", "identity", ...). The tagging powers the
 /// modularity analysis in PolicySet: a rule whose expression crosses
 /// spaces is coupling tussles that the paper says should stay separate.
+///
+/// Each attribute also gets a dense slot, 0, 1, 2, ... in declaration
+/// order. Compiled expressions record it, so a binding can hand them values
+/// by index (SlotContext) rather than by name.
 class Ontology {
  public:
-  Ontology& declare(const std::string& name, ValueType t, std::string space = {}) {
-    attrs_[name] = t;
-    if (!space.empty()) spaces_[name] = std::move(space);
-    return *this;
-  }
+  /// Declares an attribute, or retypes one already declared. A redeclared
+  /// attribute keeps its slot, and keeps its space when `space` is empty.
+  Ontology& declare(const std::string& name, ValueType t, std::string space = {});
   bool defines(const std::string& name) const { return attrs_.count(name) != 0; }
   ValueType type_of(const std::string& name) const;
   /// Tussle space of the attribute, or "" when untagged.
   std::string space_of(const std::string& name) const;
+  /// Dense slot of the attribute, below size().
+  std::size_t slot_of(const std::string& name) const;
   std::size_t size() const noexcept { return attrs_.size(); }
 
  private:
-  std::map<std::string, ValueType> attrs_;
-  std::map<std::string, std::string> spaces_;
+  struct Attribute {
+    ValueType type = ValueType::kBool;
+    std::string space;
+    std::size_t slot = 0;
+  };
+  const Attribute& at(const std::string& name) const;
+
+  std::map<std::string, Attribute> attrs_;
 };
 
 }  // namespace tussle::policy

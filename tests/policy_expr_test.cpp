@@ -100,9 +100,29 @@ TEST(Expr, ParseErrors) {
   EXPECT_THROW(Expr::compile("src_as in []", onto()), ParseError);
 }
 
+TEST(Expr, MalformedNumberLiteralsRejected) {
+  // A run of digits and dots must parse whole: no prefix of it stands in.
+  EXPECT_THROW(Expr::compile("size > 1.2.3", onto()), ParseError);
+  EXPECT_THROW(Expr::compile("size > 1..5", onto()), ParseError);
+  EXPECT_THROW(Expr::compile("src_as in [3, 7.7.7]", onto()), ParseError);
+  EXPECT_TRUE(Expr::compile("size > 1199.5", onto()).test(ctx()));
+  EXPECT_TRUE(Expr::compile("size > .5", onto()).test(ctx()));
+  EXPECT_TRUE(Expr::compile("size >= 1200.", onto()).test(ctx()));
+}
+
 TEST(Expr, DivisionByZeroAtEvalTime) {
   auto e = Expr::compile("size / (size - 1200) > 1", onto());
   EXPECT_THROW(e.test(ctx()), TypeError);
+}
+
+TEST(Expr, OperandOrderDecidesWhichErrorIsRaised) {
+  // Both operands fail: src_as is unbound and the quotient divides by zero.
+  // Equality reads its right operand first, an ordering its left.
+  Context c;
+  c.set("size", 5.0);
+  EXPECT_THROW(Expr::compile("src_as == size / (size - size)", onto()).test(c), TypeError);
+  EXPECT_THROW(Expr::compile("src_as != size / (size - size)", onto()).test(c), TypeError);
+  EXPECT_THROW(Expr::compile("src_as < size / (size - size)", onto()).test(c), OntologyError);
 }
 
 TEST(Expr, MissingAttributeAtEvalTime) {
