@@ -114,6 +114,29 @@ void BM_PacketForwardingLine(benchmark::State& state) {
 }
 BENCHMARK(BM_PacketForwardingLine)->Arg(8)->Arg(32);
 
+// One packet hop over one link, one packet per item: Link::transmit_from
+// (enqueue, then dequeue onto the wire), the serialize event, the propagate
+// event and the far node's receive, which delivers it locally.
+void BM_LinkHop(benchmark::State& state) {
+  sim::Simulator sim;
+  net::Network net(sim);
+  const net::NodeId a = net.add_node(1);
+  const net::NodeId b = net.add_node(1);
+  net::Link& link = net.connect(a, b, 1e9, sim::Duration::micros(1));
+  net::Packet p;
+  p.dst = net::Address{.provider = 1, .subscriber = 2, .host = 1};
+  net.node(b).add_address(p.dst);
+  for (auto _ : state) {
+    link.transmit_from(a, p);
+    benchmark::DoNotOptimize(sim.run());
+  }
+  if (net.counters().delivered.value() != static_cast<std::int64_t>(state.iterations())) {
+    state.SkipWithError("a hop did not deliver its packet");
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_LinkHop);
+
 void BM_PolicyEval(benchmark::State& state) {
   auto onto = policy::standard_packet_ontology();
   auto expr = policy::Expr::compile(

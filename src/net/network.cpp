@@ -3,6 +3,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "sim/exec_backend.hpp"
 #include "sim/mem_profile.hpp"
@@ -27,6 +28,20 @@ struct LaneTraits<net::PacketIdSource> {
     (void)base;
     (void)lane;  // namespaced counters never collide; there is nothing to fold
   }
+};
+
+/// A pool lane holds the packets in flight on its owner, and the events
+/// that name their slots sit in that owner's queue: the fold moves no
+/// packet (the default fold would destroy them), only the lane's
+/// on-the-wire count.
+template <>
+struct LaneTraits<net::PacketPool> {
+  static net::PacketPool* make(const net::PacketPool& base, ShardId owner) {
+    (void)base;
+    (void)owner;
+    return new net::PacketPool();
+  }
+  static void fold(net::PacketPool& base, net::PacketPool& lane) { base.fold_count(lane); }
 };
 
 template <>
@@ -93,7 +108,7 @@ NodeId Link::peer_of(NodeId n) const {
   throw std::invalid_argument("node is not an endpoint of this link");
 }
 
-std::size_t Link::dir_index_for(NodeId from) const {
+std::uint32_t Link::dir_index_for(NodeId from) const {
   if (from == dirs_[0].from) return 0;
   if (from == dirs_[1].from) return 1;
   throw std::invalid_argument("node is not an endpoint of this link");
@@ -111,7 +126,8 @@ bool Link::transmit_from(NodeId sender, Packet p) {
                 .flow = p.flow, .node = sender, .link = id_});
     return false;
   }
-  Direction& d = dir_for(sender);
+  const std::uint32_t dir = dir_index_for(sender);
+  Direction& d = dirs_[dir];
   const std::uint64_t uid = p.uid;
   const FlowId flow = p.flow;
   if (!d.queue->enqueue(std::move(p))) {
@@ -121,46 +137,66 @@ bool Link::transmit_from(NodeId sender, Packet p) {
   }
   net_->emit({.kind = PacketEventKind::kEnqueue, .uid = uid, .flow = flow, .node = sender,
               .link = id_, .queued = d.queue->packets()});
-  if (!d.transmitting) start_transmission(d);
+  if (!d.transmitting) start_transmission(dir);
   return true;
 }
 
-void Link::start_transmission(Direction& d) {
+void Link::start_transmission(std::uint32_t dir) {
+  Direction& d = dirs_[dir];
   auto p = d.queue->dequeue();
   if (!p) return;
   d.transmitting = true;
   const auto serialization =
       sim::Duration::seconds(static_cast<double>(p->size_bytes) * 8.0 / bps_);
-  auto& sim = net_->simulator();
-  // Serialization completes first; then the packet propagates while the
-  // transmitter moves on to the next queued packet.
-  sim.schedule(serialization, sim::TaskTag{"net.link", "serialize"},
-               [this, &d, pkt = std::move(*p)]() mutable {
-    // Serialization completion is the transmitting shard's own event.
-    if (auto* au = net_->auditor()) au->claim("net.link", id_, net_->node(d.from).as());
-    d.transmitting = false;
-    d.tx_packets += 1;
-    d.tx_bytes += pkt.size_bytes;
-    const NodeId to = d.to;
-    const IfIndex ingress = d.ingress;
-    // Propagation hands the packet to the receiving node's owner: on the
-    // sharded backend a cross-AS hop rides the barrier inbox (propagation
-    // delay >= the registered lookahead makes that legal), while a same-AS
-    // hop stays on the owner's own queue. Serial execution is unaffected.
-    net_->simulator().schedule_for(static_cast<sim::ShardId>(net_->node(to).as()), prop_,
-                                   sim::TaskTag{"net.link", "propagate"},
-                                   [this, to, ingress, pkt = std::move(pkt)]() mutable {
-      if (!up_) {
-        net_->emit({.kind = PacketEventKind::kDrop, .reason = DropReason::kLinkDown,
-                    .uid = pkt.uid, .flow = pkt.flow, .node = to, .link = id_});
-        return;
-      }
-      // This event runs as the receiving node's owner (schedule_for above).
-      Node& dst = net_->node(to);
-      dst.receive(std::move(pkt), ingress);
+  // The packet waits out its serialization in this domain's wire pool. The
+  // event names it by slot: 16 trivially copyable bytes, which
+  // std::function keeps inline, so scheduling it allocates nothing.
+  const std::uint32_t slot = net_->wire().put(std::move(*p));
+  auto done = [this, dir, slot] { serialized(dir, slot); };
+  static_assert(sizeof(done) <= 16 && std::is_trivially_copyable_v<decltype(done)>);
+  net_->simulator().schedule(serialization, sim::TaskTag{"net.link", "serialize"}, done);
+}
+
+void Link::serialized(std::uint32_t dir, std::uint32_t slot) {
+  Direction& d = dirs_[dir];
+  // Serialization completion is the transmitting shard's own event.
+  if (auto* au = net_->auditor()) au->claim("net.link", id_, net_->node(d.from).as());
+  d.transmitting = false;
+  PacketPool& wire = net_->wire();
+  d.tx_packets += 1;
+  d.tx_bytes += wire.at(slot).size_bytes;
+  // Propagation hands the packet to the receiving node's owner: on the
+  // sharded backend a cross-AS hop rides the barrier inbox (propagation
+  // delay >= the registered lookahead makes that legal), while a same-AS
+  // hop stays on the owner's own queue. Serial execution is unaffected.
+  // The packet keeps its slot only when that owner's event runs in this
+  // domain, and so reads this pool; otherwise the event carries it.
+  sim::Simulator& sim = net_->simulator();
+  const auto owner = static_cast<sim::ShardId>(net_->node(d.to).as());
+  const sim::TaskTag tag{"net.link", "propagate"};
+  if (sim.backend().runs_here(owner)) {
+    auto arrival = [this, dir, slot] { arrive(dir, net_->wire().take(slot)); };
+    static_assert(sizeof(arrival) <= 16 && std::is_trivially_copyable_v<decltype(arrival)>);
+    sim.schedule_for(owner, prop_, tag, arrival);
+  } else {
+    sim.schedule_for(owner, prop_, tag, [this, dir, pkt = wire.take(slot)]() mutable {
+      arrive(dir, std::move(pkt));
     });
-    if (!d.queue->empty()) start_transmission(d);
-  });
+  }
+  if (!d.queue->empty()) start_transmission(dir);
+}
+
+void Link::arrive(std::uint32_t dir, Packet p) {
+  net_->wire().land();
+  const Direction& d = dirs_[dir];
+  if (!up_) {
+    net_->emit({.kind = PacketEventKind::kDrop, .reason = DropReason::kLinkDown, .uid = p.uid,
+                .flow = p.flow, .node = d.to, .link = id_});
+    return;
+  }
+  // This event runs as the receiving node's owner (schedule_for above).
+  Node& dst = net_->node(d.to);
+  dst.receive(std::move(p), d.ingress);
 }
 
 void Link::set_up(bool up) {
@@ -211,6 +247,11 @@ NetCounters& Network::counters() noexcept {
 PacketIdSource& Network::packet_ids() noexcept {
   if (auto* lane = sim::shard_lane(*sim_, ids_)) return *lane;
   return ids_;
+}
+
+PacketPool& Network::wire() noexcept {
+  if (auto* lane = sim::shard_lane(*sim_, wire_)) return *lane;
+  return wire_;
 }
 
 NodeId Network::add_node(AsId as) {
@@ -275,8 +316,8 @@ void Network::emit(const PacketEvent& e) {
                          {"uid", e.uid}, {"flow", e.flow}, {"node", e.node}, {"ttl", e.ttl});
       return;
     case PacketEventKind::kEnqueue:
-      // Link-queue occupancy after the enqueue: the container the arena/SoA
-      // refactor would turn into a ring buffer.
+      // Link-queue occupancy after the enqueue: how deep the drop-tail
+      // rings, which never shrink, have to grow.
       if (auto* mp = mem_profiler()) mp->note_occupancy("net.link_queue", e.queued);
       TUSSLE_TRACE_EVENT(tracer(), now, sim::TraceLevel::kDebug, "net.link", "enqueue",
                          {"uid", e.uid}, {"flow", e.flow}, {"link", e.link}, {"node", e.node},

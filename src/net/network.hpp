@@ -55,6 +55,10 @@ class Link {
   std::uint64_t backlog_bytes() const noexcept {
     return dirs_[0].queue->bytes() + dirs_[1].queue->bytes();
   }
+  /// Packets waiting in both directions' queues (not the ones on the wire).
+  std::size_t backlog_packets() const noexcept {
+    return dirs_[0].queue->packets() + dirs_[1].queue->packets();
+  }
 
  private:
   friend class Network;  // connect() records each direction's ingress interface
@@ -69,10 +73,17 @@ class Link {
     std::uint64_t tx_bytes = 0;
   };
 
-  std::size_t dir_index_for(NodeId from) const;
-  Direction& dir_for(NodeId from) { return dirs_[dir_index_for(from)]; }
+  std::uint32_t dir_index_for(NodeId from) const;
   const Direction& dir_for(NodeId from) const { return dirs_[dir_index_for(from)]; }
-  void start_transmission(Direction& d);
+  /// Dequeues direction `dir`'s next packet onto the wire and schedules the
+  /// end of its serialization.
+  void start_transmission(std::uint32_t dir);
+  /// Serialization of the packet in wire slot `slot` ended: schedules its
+  /// propagation and starts the next packet.
+  void serialized(std::uint32_t dir, std::uint32_t slot);
+  /// Propagation ended at direction `dir`'s far end: the packet lands, and
+  /// is dropped if the link went down meanwhile, else received.
+  void arrive(std::uint32_t dir, Packet p);
 
   Network* net_;
   LinkId id_ = 0;
@@ -171,6 +182,17 @@ class Network {
   /// per-owner namespaces so uids stay globally unique.
   PacketIdSource& packet_ids() noexcept;
 
+  /// The pool holding the packets links are serializing or propagating,
+  /// lane-routed like counters(): inside a sharded worker event it is the
+  /// owner's own pool. Its packets stay there across barriers (only its
+  /// on-the-wire count folds into the base), so a slot never crosses
+  /// threads.
+  PacketPool& wire() noexcept;
+  /// Packets on the wire across every pool: put on a link and not yet
+  /// arrived. Read it like the const counters(), after run() or from a
+  /// control event.
+  std::int64_t packets_on_wire() const noexcept { return wire_.on_wire(); }
+
   /// Tracer receiving this network's flow-provenance events (enqueue,
   /// forward, drop-with-reason, deliver): the owning simulator's, so two
   /// concurrent runs never share trace state. It is disabled unless someone
@@ -244,6 +266,7 @@ class Network {
   std::vector<std::unique_ptr<Link>> links_;
   NetCounters counters_;
   PacketIdSource ids_;
+  PacketPool wire_;
   std::vector<DeliveryObserver> observers_;
   sim::SpanTracer* spans_ = nullptr;
   bool fault_reporting_ = false;

@@ -132,4 +132,59 @@ class PacketIdSource {
   std::uint64_t last_ = 0;
 };
 
+/// The packets on the wire: each one a link is serializing, and each one
+/// propagating inside one execution domain. A link's events name the packet
+/// by its slot, so they capture 16 bytes instead of the packet. Slots are
+/// reused last freed first and the pool never shrinks, so once it has grown
+/// to a run's peak a hop allocates nothing. Under sharded execution every
+/// owner has its own pool (a lane, see Network::wire()), and a slot is only
+/// ever read in the pool that issued it.
+class PacketPool {
+ public:
+  /// Puts `p` on the wire: parks it in a free slot and returns the slot.
+  std::uint32_t put(Packet&& p) {
+    ++on_wire_;
+    if (free_.empty()) {
+      slots_.push_back(std::move(p));
+      return static_cast<std::uint32_t>(slots_.size() - 1);
+    }
+    const std::uint32_t slot = free_.back();
+    free_.pop_back();
+    slots_[slot] = std::move(p);
+    return slot;
+  }
+
+  const Packet& at(std::uint32_t slot) const noexcept { return slots_[slot]; }
+
+  /// Moves the packet out of its slot and frees the slot. The packet stays
+  /// on the wire until land() is called: here, or in the pool of the domain
+  /// it propagates into.
+  Packet take(std::uint32_t slot) {
+    Packet p = std::move(slots_[slot]);
+    free_.push_back(slot);
+    return p;
+  }
+
+  /// A packet came off the wire at its far end (received, or lost there to
+  /// a link that went down).
+  void land() noexcept { --on_wire_; }
+
+  /// Packets put on the wire and not landed yet. A sharded owner's lane can
+  /// go negative (its arrivals were put by other owners); after run(), or
+  /// from a control event, the base pool's count covers every owner.
+  std::int64_t on_wire() const noexcept { return on_wire_; }
+
+  /// Adds a lane's count to this one and zeroes it. The lane keeps its
+  /// slots: their packets are still in flight on the lane's owner.
+  void fold_count(PacketPool& lane) noexcept {
+    on_wire_ += lane.on_wire_;
+    lane.on_wire_ = 0;
+  }
+
+ private:
+  std::vector<Packet> slots_;
+  std::vector<std::uint32_t> free_;
+  std::int64_t on_wire_ = 0;
+};
+
 }  // namespace tussle::net

@@ -1,22 +1,38 @@
 #include "net/queue.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <stdexcept>
+#include <string>
+
 namespace tussle::net {
 
 bool DropTailQueue::enqueue(Packet p) {
-  if (q_.size() >= capacity_) {
+  if (size_ >= capacity_) {
     ++drops_;
     return false;
   }
+  if (size_ == ring_.size()) {
+    // Full ring: unwrap it so the FIFO starts at 0, then double it (the new
+    // slots land after the tail).
+    std::rotate(ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(head_), ring_.end());
+    head_ = 0;
+    ring_.resize(std::min(capacity_, std::max<std::size_t>(1, ring_.size() * 2)));
+  }
+  std::size_t tail = head_ + size_;
+  if (tail >= ring_.size()) tail -= ring_.size();
   bytes_ += p.size_bytes;
-  q_.push_back(std::move(p));
+  ring_[tail] = std::move(p);
+  ++size_;
   return true;
 }
 
 std::optional<Packet> DropTailQueue::dequeue() {
-  if (q_.empty()) return std::nullopt;
-  Packet p = std::move(q_.front());
-  q_.pop_front();
-  bytes_ -= p.size_bytes;
+  if (size_ == 0) return std::nullopt;
+  std::optional<Packet> p(std::move(ring_[head_]));
+  bytes_ -= p->size_bytes;
+  if (++head_ == ring_.size()) head_ = 0;
+  --size_;
   return p;
 }
 
@@ -57,7 +73,14 @@ std::uint64_t PriorityQueue::bytes() const noexcept {
 DrrQueue::DrrQueue(std::size_t per_class_capacity, std::array<double, 3> weights)
     : classes_{DropTailQueue(per_class_capacity), DropTailQueue(per_class_capacity),
                DropTailQueue(per_class_capacity)},
-      weights_(weights) {}
+      weights_(weights) {
+  for (const double w : weights_) {
+    if (!std::isfinite(w) || !(w > 0)) {
+      throw std::invalid_argument("DrrQueue: every class weight must be finite and > 0, got " +
+                                  std::to_string(w));
+    }
+  }
+}
 
 bool DrrQueue::enqueue(Packet p) {
   const auto cls = static_cast<std::size_t>(p.tos);
@@ -81,7 +104,9 @@ std::optional<Packet> DrrQueue::dequeue() {
   // Classic deficit round robin: on each fresh visit to a backlogged class,
   // add one quantum; serve head-of-line packets while they fit the deficit;
   // move on when the head no longer fits. Bounded: every full sweep adds a
-  // quantum to at least one backlogged class, so some head eventually fits.
+  // positive quantum to each backlogged class (the constructor rejects any
+  // other weight), so some head eventually fits. A backlog the bound cannot
+  // reach throws rather than strand its packets.
   for (int guard = 0; guard < 100000; ++guard) {
     DropTailQueue& q = classes_[round_];
     if (q.packets() == 0) {
@@ -99,7 +124,9 @@ std::optional<Packet> DrrQueue::dequeue() {
     }
     advance_round();
   }
-  return std::nullopt;
+  throw std::logic_error(
+      "DrrQueue: no head-of-line packet fit its class's deficit within the scan bound; the "
+      "class weights are too small for the packet sizes queued");
 }
 
 std::size_t DrrQueue::packets() const noexcept {

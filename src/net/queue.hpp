@@ -9,9 +9,9 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "net/packet.hpp"
 
@@ -35,24 +35,29 @@ class Queue {
   std::uint64_t drops_ = 0;
 };
 
-/// Classic drop-tail FIFO bounded by packet count.
+/// Classic drop-tail FIFO bounded by packet count, kept in a ring. The ring
+/// doubles on demand up to the capacity and never shrinks, so a queue costs
+/// memory for the deepest backlog it has held, and once there its enqueues
+/// and dequeues allocate nothing.
 class DropTailQueue final : public Queue {
  public:
   explicit DropTailQueue(std::size_t capacity_packets) : capacity_(capacity_packets) {}
 
   bool enqueue(Packet p) override;
   std::optional<Packet> dequeue() override;
-  std::size_t packets() const noexcept override { return q_.size(); }
+  std::size_t packets() const noexcept override { return size_; }
   std::uint64_t bytes() const noexcept override { return bytes_; }
   /// Size of the head-of-line packet, if any (used by DRR scheduling).
   std::optional<std::uint32_t> head_size() const noexcept {
-    if (q_.empty()) return std::nullopt;
-    return q_.front().size_bytes;
+    if (size_ == 0) return std::nullopt;
+    return ring_[head_].size_bytes;
   }
 
  private:
   std::size_t capacity_ = 0;
-  std::deque<Packet> q_;
+  std::vector<Packet> ring_;  ///< the FIFO runs from head_, wrapping at the end
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
   std::uint64_t bytes_ = 0;
 };
 
@@ -82,9 +87,13 @@ class PriorityQueue final : public Queue {
 class DrrQueue final : public Queue {
  public:
   /// `weights` are relative shares for {best-effort, assured, premium}.
+  /// Throws std::invalid_argument unless every weight is finite and > 0:
+  /// a class whose quantum never grows would hold its backlog forever.
   DrrQueue(std::size_t per_class_capacity, std::array<double, 3> weights);
 
   bool enqueue(Packet p) override;
+  /// Throws std::logic_error if no head fits its class's deficit within
+  /// the scan bound (weights too small for the packet sizes queued).
   std::optional<Packet> dequeue() override;
   std::size_t packets() const noexcept override;
   std::uint64_t bytes() const noexcept override;

@@ -121,6 +121,15 @@ class ExecutionBackend {
     (void)latency;
   }
 
+  /// True when an event the calling context schedules for `owner` will run
+  /// in the calling context's execution domain: on the same thread, with
+  /// the same shard_lane<T> objects. A backend with one domain (the serial
+  /// one) always says yes.
+  virtual bool runs_here(ShardId owner) const noexcept {
+    (void)owner;
+    return true;
+  }
+
   /// Runs until drained / stopped / past `horizon`; returns events executed.
   virtual std::size_t run(SimTime horizon) = 0;
   /// Executes one pending event. Backends without a serializable single
@@ -216,6 +225,11 @@ struct LaneTraits {
 
 template <typename T>
 T* shard_lane(Simulator& sim, T& base) {
+  // Serial execution, setup code and control events use the base object:
+  // the packet path asks several times per hop, so that answer costs one
+  // thread-local load here rather than a call.
+  const ExecCtx* c = current_exec_ctx();
+  if (c == nullptr || c->lp == nullptr) return nullptr;
   return static_cast<T*>(shard_lane_raw(
       sim, &base,
       [](void* b, ShardId owner) -> void* {

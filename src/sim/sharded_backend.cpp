@@ -191,6 +191,11 @@ bool ShardedBackend::cancel(EventId id) {
   return true;
 }
 
+bool ShardedBackend::runs_here(ShardId owner) const noexcept {
+  const ExecCtx* c = current_exec_ctx();
+  return c != nullptr && c->sim == &sim() && c->lp != nullptr && c->owner == owner;
+}
+
 std::size_t ShardedBackend::pending() const {
   std::size_t n = control_.size();
   for (const auto& lp : lps_) n += lp->queue.size();

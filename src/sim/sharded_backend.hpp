@@ -86,6 +86,9 @@ class ShardedBackend final : public ExecutionBackend {
   bool cancel(EventId id) override;
 
   std::size_t pending() const override;
+  /// Only from a worker event of `owner` itself: setup and control events
+  /// run on the coordinator, and another owner's events on its worker.
+  bool runs_here(ShardId owner) const noexcept override;
   void register_owner(ShardId owner) override;
   void register_lookahead(ShardId a, ShardId b, Duration latency) override;
   std::size_t run(SimTime horizon) override;

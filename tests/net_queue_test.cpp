@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <deque>
+#include <limits>
+#include <stdexcept>
+
 namespace tussle::net {
 namespace {
 
@@ -122,6 +127,77 @@ TEST(DrrQueue, ServiceRoughlyProportionalToWeights) {
   EXPECT_GT(counts[2], 2 * counts[0]);
   EXPECT_GT(counts[0], 0);  // no starvation
   EXPECT_GT(counts[1], 0);
+}
+
+TEST(DrrQueue, RejectsWeightsThatNeverEarnAQuantum) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {0.0, -1.0, nan, inf}) {
+    EXPECT_THROW(DrrQueue(8, {bad, 1, 1}), std::invalid_argument) << bad;
+    EXPECT_THROW(DrrQueue(8, {1, 1, bad}), std::invalid_argument) << bad;
+  }
+  EXPECT_NO_THROW(DrrQueue(8, {0.5, 1, 1}));
+}
+
+TEST(DrrQueue, ExhaustedScanThrowsInsteadOfStrandingTheBacklog) {
+  // A weight this small needs ~10^9 sweeps before a 1500 B head fits: the
+  // scan bound runs out first. The backlog must not look empty.
+  DrrQueue q(8, {1e-9, 1, 1});
+  ASSERT_TRUE(q.enqueue(pkt(ServiceClass::kBestEffort, 1500, 1)));
+  EXPECT_THROW(q.dequeue(), std::logic_error);
+  EXPECT_EQ(q.packets(), 1u);
+}
+
+// The ring against a std::deque oracle: random enqueue/dequeue mixes at
+// small capacities (every wrap and growth step) and at the links' default
+// capacity, checked after every operation. Each mix opens with
+// enqueue, enqueue, dequeue, enqueue, enqueue: at a capacity of 3 or more
+// the last of these grows the ring of 2 while its FIFO wraps past the end.
+TEST(DropTailQueue, RingMatchesDequeOracle) {
+  constexpr const char* kOpening = "eedee";
+  for (const std::size_t capacity : {1u, 2u, 3u, 64u}) {
+    DropTailQueue q(capacity);
+    std::deque<Packet> oracle;
+    std::uint64_t oracle_bytes = 0;
+    std::uint64_t oracle_drops = 0;
+    std::uint64_t next_uid = 1;
+    std::uint64_t x = capacity;
+    for (int op = 0; op < 20000; ++op) {
+      x = x * 6364136223846793005ull + 1442695040888963407ull;
+      // Then phases of rising and falling pressure, so the ring fills, wraps
+      // and grows while wrapped, then drains.
+      const bool fill = op < 5 ? kOpening[op] == 'e'
+                               : ((op / 97) % 2 == 0) ? (x >> 60) < 11 : (x >> 60) < 5;
+      if (fill) {
+        const Packet p = pkt(ServiceClass::kBestEffort, 40 + static_cast<std::uint32_t>(x >> 54),
+                             next_uid++);
+        const bool room = oracle.size() < capacity;
+        ASSERT_EQ(q.enqueue(p), room) << "capacity " << capacity << " op " << op;
+        if (room) {
+          oracle.push_back(p);
+          oracle_bytes += p.size_bytes;
+        } else {
+          ++oracle_drops;
+        }
+      } else {
+        const auto got = q.dequeue();
+        ASSERT_EQ(got.has_value(), !oracle.empty()) << "capacity " << capacity << " op " << op;
+        if (got) {
+          ASSERT_EQ(got->uid, oracle.front().uid) << "capacity " << capacity << " op " << op;
+          ASSERT_EQ(got->size_bytes, oracle.front().size_bytes);
+          oracle_bytes -= oracle.front().size_bytes;
+          oracle.pop_front();
+        }
+      }
+      ASSERT_EQ(q.packets(), oracle.size());
+      ASSERT_EQ(q.bytes(), oracle_bytes);
+      ASSERT_EQ(q.drops(), oracle_drops);
+      ASSERT_EQ(q.head_size().has_value(), !oracle.empty());
+      if (!oracle.empty()) {
+        ASSERT_EQ(*q.head_size(), oracle.front().size_bytes);
+      }
+    }
+  }
 }
 
 TEST(MakeQueue, FactoryProducesRequestedKind) {

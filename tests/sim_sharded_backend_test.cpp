@@ -9,6 +9,9 @@
 // and the restricted cancellation surface.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -336,6 +339,174 @@ TEST(ShardedBackend, NetworkDeliveryMatchesAcrossShardCounts) {
     EXPECT_EQ(r.originated, serial.originated) << "k=" << k;
     EXPECT_EQ(r.delivered, serial.delivered) << "k=" << k;
     EXPECT_EQ(r.received, serial.received) << "k=" << k;
+  }
+}
+
+TEST(ShardedBackend, RunsHereOnlyInsideTheOwnersOwnWorkerEvent) {
+  // The query that decides whether a link's propagate event may keep its
+  // wire slot: the serial backend has one domain, the sharded backend one
+  // per owner plus the coordinator's.
+  Simulator serial(1);
+  EXPECT_TRUE(serial.backend().runs_here(1));
+
+  Simulator sim(1);
+  install_sharded(sim, 2);
+  sim.register_owner(1);
+  sim.register_owner(2);
+  sim.register_lookahead(1, 2, Duration::millis(1));
+  EXPECT_FALSE(sim.backend().runs_here(1));  // setup
+  bool control_here = true;
+  std::array<bool, 2> worker_here{};
+  sim.schedule(Duration::millis(1), TaskTag{"test", "control"},
+               [&] { control_here = sim.backend().runs_here(1); });
+  sim.schedule_for(1, Duration::millis(2), TaskTag{"test", "worker"}, [&] {
+    worker_here = {sim.backend().runs_here(1), sim.backend().runs_here(2)};
+  });
+  sim.run();
+  EXPECT_FALSE(control_here);
+  EXPECT_TRUE(worker_here[0]);
+  EXPECT_FALSE(worker_here[1]);
+}
+
+// Wire-pool confinement and packet conservation. Same-AS links keep a
+// packet's wire slot from serialize to arrival; cross-AS links, and hops
+// serialized by setup or control code, carry the packet in the event.
+// Packets start three ways (setup, a control event, worker events), the run
+// stops mid-flight and then completes.
+struct WireRun {
+  /// At the mid-flight stop: originated, delivered, dropped, queued, on the wire.
+  std::array<std::int64_t, 5> mid{};
+  /// After completion: originated, delivered, queue drops, forwarded, on the wire.
+  std::array<std::int64_t, 5> end{};
+  double latency_total_s = 0;
+  /// Per destination, in arrival order: the test's tag (carried in `flow`),
+  /// and the uid. Sharded owners draw uids from their own namespaces, so
+  /// uids match across shard counts but not serial; tags match everywhere.
+  std::map<net::NodeId, std::vector<net::FlowId>> tags;
+  std::map<net::NodeId, std::vector<std::uint64_t>> uids;
+};
+
+WireRun wire_scenario(std::size_t shards) {
+  Simulator sim(11);
+  if (shards > 0) install_sharded(sim, shards);
+  net::Network net(sim);
+  // AS 1 holds a - b, AS 2 holds c - e (same-AS links); b - c and c - d
+  // cross into AS 2 and AS 3. b - c is the bottleneck, with a short queue.
+  const net::NodeId a = net.add_node(1);
+  const net::NodeId b = net.add_node(1);
+  const net::NodeId c = net.add_node(2);
+  const net::NodeId e = net.add_node(2);
+  const net::NodeId d = net.add_node(3);
+  net.connect(a, b, 1e8, Duration::micros(50));
+  net.connect(b, c, 2e6, Duration::millis(1), net::QueueKind::kDropTail, 8);
+  net.connect(c, e, 1e8, Duration::micros(70));
+  net.connect(c, d, 1e7, Duration::millis(2));
+  const net::Address at_b{1, 2, 1, false};
+  const net::Address at_e{2, 5, 1, false};
+  const net::Address at_d{3, 4, 1, false};
+  net.node(b).add_address(at_b);
+  net.node(e).add_address(at_e);
+  net.node(d).add_address(at_d);
+  net.node(a).forwarding().set_default_route(0);
+  net.node(b).forwarding().set_default_route(1);
+  net.node(c).forwarding().set_default_route(0);
+  net.node(c).forwarding().set_prefix_route(net::prefix_of(at_e), 1);
+  net.node(c).forwarding().set_prefix_route(net::prefix_of(at_d), 2);
+  net.node(e).forwarding().set_default_route(0);
+  net.node(d).forwarding().set_default_route(0);
+
+  WireRun r;
+  for (const net::NodeId n : {b, e, d}) {
+    // Each handler runs as its node's owner, so each log has one writer;
+    // the maps are filled here, before any worker runs.
+    std::vector<net::FlowId>& tags = r.tags[n];
+    std::vector<std::uint64_t>& uids = r.uids[n];
+    net.node(n).set_local_handler([&tags, &uids](const net::Packet& p) {
+      tags.push_back(p.flow);
+      uids.push_back(p.uid);
+    });
+  }
+  net::FlowId next_tag = 1;
+  auto packet = [&next_tag](net::Address to) {
+    net::Packet p;
+    p.dst = to;
+    p.flow = next_tag++;
+    return p;
+  };
+
+  // Setup: originated before run(), so the first hop is serialized by the
+  // coordinator's control queue on the sharded backend.
+  for (int i = 0; i < 6; ++i) net.node(a).originate(packet(i % 2 ? at_d : at_e));
+  // A control event.
+  std::vector<net::Packet> from_control;
+  for (int i = 0; i < 6; ++i) from_control.push_back(packet(at_b));
+  sim.schedule(Duration::micros(1503), TaskTag{"test", "control"}, [&net, d, &from_control] {
+    for (const net::Packet& p : from_control) net.node(d).originate(p);
+  });
+  // Worker events, at every owner.
+  for (int i = 0; i < 12; ++i) {
+    const net::Packet p = packet(i % 3 ? at_e : at_d);
+    sim.schedule_for(1, Duration::micros(301 * (i + 1)), TaskTag{"test", "probe"},
+                     [&net, a, p] { net.node(a).originate(p); });
+  }
+  for (int i = 0; i < 6; ++i) {
+    const net::Packet to_b = packet(at_b);
+    sim.schedule_for(3, Duration::micros(457 * (i + 1)), TaskTag{"test", "probe"},
+                     [&net, d, to_b] { net.node(d).originate(to_b); });
+    const net::Packet e_to_b = packet(at_b);
+    sim.schedule_for(2, Duration::micros(613 * (i + 1)), TaskTag{"test", "probe"},
+                     [&net, e, e_to_b] { net.node(e).originate(e_to_b); });
+  }
+
+  auto queued = [&net] {
+    std::int64_t n = 0;
+    for (net::LinkId l = 0; l < net.link_count(); ++l) {
+      n += static_cast<std::int64_t>(net.link(l).backlog_packets());
+    }
+    return n;
+  };
+  auto dropped = [&net] {
+    const net::NetCounters& k = net.counters();
+    return k.dropped_filter.value() + k.dropped_ttl.value() + k.dropped_no_route.value() +
+           k.dropped_queue.value() + k.dropped_link_down.value();
+  };
+
+  sim.run(SimTime::nanos(9'000'000));
+  const net::NetCounters& k = std::as_const(net).counters();
+  r.mid = {k.originated.value(), k.delivered.value(), dropped(), queued(),
+           net.packets_on_wire()};
+  sim.run();
+  r.end = {k.originated.value(), k.delivered.value(), k.dropped_queue.value(),
+           k.forwarded.value(), net.packets_on_wire() + queued()};
+  r.latency_total_s = k.delivery_latency_s.total();
+  return r;
+}
+
+TEST(ShardedBackend, WirePoolConservesPacketsAndMatchesSerial) {
+  const WireRun serial = wire_scenario(0);
+  // The stop really is mid-flight, with packets both queued and on the wire.
+  EXPECT_GT(serial.mid[3], 0);
+  EXPECT_GT(serial.mid[4], 0);
+  EXPECT_GT(serial.end[2], 0);  // the bottleneck dropped some
+  EXPECT_EQ(serial.end[0], 36);
+  EXPECT_EQ(serial.end[4], 0);
+  std::vector<WireRun> sharded;
+  for (std::size_t k : {1u, 2u, 4u}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    const WireRun r = wire_scenario(k);
+    for (const WireRun* run : {&serial, &r}) {
+      const auto& m = run->mid;
+      EXPECT_EQ(m[0], m[1] + m[2] + m[3] + m[4])
+          << "originated = delivered + dropped + queued + on the wire";
+    }
+    EXPECT_EQ(r.mid, serial.mid);
+    EXPECT_EQ(r.end, serial.end);
+    EXPECT_DOUBLE_EQ(r.latency_total_s, serial.latency_total_s);
+    EXPECT_EQ(r.tags, serial.tags);
+    if (!sharded.empty()) {
+      EXPECT_EQ(r.uids, sharded.front().uids);
+    }
+    sharded.push_back(r);
   }
 }
 
