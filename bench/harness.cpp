@@ -289,9 +289,10 @@ core::SweepResult Harness::scenario(const core::ScenarioSpec& spec, const Render
   opts.scale = scale_requested_;
   opts.exec = exec_requested_;
   opts.mem = mem_requested_;
-  // Trace/span collection assumes the serial backend's single dispatch
-  // thread and forces the sharded backend off; --heartbeat does not (the
-  // sharded coordinator ticks it between barrier windows).
+  // Trace/span collection and the scale and memory profilers assume the
+  // serial backend's single event stream and force the sharded backend
+  // off; --heartbeat does not (the sharded coordinator ticks it between
+  // barrier windows).
   opts.shards = parallel_.run_shards(shards_blocked_);
 
   core::SweepResult result = core::run_sweep(spec, opts);
@@ -361,14 +362,16 @@ int run(int argc, char** argv, const Experiment& exp,
   }
   // The global tracer and the heartbeat's stderr stream are shared sinks;
   // concurrent runs would interleave their writes, so either forces
-  // --jobs 1. Only trace/span collection additionally forces the serial
+  // --jobs 1. Trace/span collection and the scale and memory profilers
+  // (one global event stream each) additionally force the serial
   // *backend* — the sharded coordinator ticks the heartbeat itself.
   h.serial_required_ = !flags->trace_path.empty() || flags->heartbeat_seconds > 0;
-  h.shards_blocked_ = !flags->trace_path.empty() || h.spans_requested_;
+  h.shards_blocked_ = !flags->trace_path.empty() || h.spans_requested_ ||
+                      h.scale_requested_ || h.mem_requested_;
   if (h.parallel_.shards > 0 && h.shards_blocked_) {
     std::fprintf(stderr,
-                 "harness: --shards ignored: --trace/span flags need the serial "
-                 "backend\n");
+                 "harness: --shards ignored: --trace, span, --scale-* and --mem-* flags "
+                 "need the serial backend\n");
   }
 
   if (h.list_) {

@@ -14,8 +14,9 @@
 //                       k-worker sharded PDES backend (sim/
 //                       sharded_backend.hpp; default $TUSSLE_SHARDS, else 0
 //                       = serial). Auto --jobs drops to 1 under --shards so
-//                       the two parallelism axes do not multiply; --trace
-//                       and the span flags force the serial backend.
+//                       the two parallelism axes do not multiply; --trace,
+//                       the span flags and the --scale-*/--mem-* flags
+//                       force the serial backend (with a stderr note).
 //                       --heartbeat works under --shards: the coordinator
 //                       reports per-window progress between barriers.
 //   --json <path>       write metrics + wall time + event totals + hotspots
@@ -51,7 +52,9 @@
 //                       fail-soft auditor for shard attribution when
 //                       --audit was not also given.
 //   --scale-json <p>    write the merged scale report as JSON (implies
-//                       --scale-profile); byte-identical at any --jobs
+//                       --scale-profile); byte-identical at any --jobs.
+//                       Serial backend only: under --shards it writes
+//                       the serial report.
 //   --scale-dashboard <p>  write the scale report as a self-contained HTML
 //                       dashboard (implies --scale-profile)
 //   --exec-profile      run every simulator under the execution profiler
@@ -70,11 +73,12 @@
 //                       sites and live bytes, object lifetimes in sim
 //                       time, pointer-chase/locality scores, per-shard
 //                       footprint. Sim-deterministic units only, so the
-//                       report is byte-identical at any --jobs/--shards.
-//                       Attaches a fail-soft auditor for footprint
-//                       attribution when --audit was not also given.
+//                       report is byte-identical at any --jobs. Attaches a
+//                       fail-soft auditor for footprint attribution when
+//                       --audit was not also given.
 //   --mem-json <p>      write the merged memory report as JSON (implies
-//                       --mem-profile); byte-identical at any --jobs
+//                       --mem-profile); byte-identical at any --jobs.
+//                       Serial backend only, like --scale-json.
 //   --mem-dashboard <p> write the memory report as a self-contained HTML
 //                       dashboard (implies --mem-profile)
 //
@@ -156,7 +160,7 @@ class Harness {
   std::size_t sweep_events_ = 0;
   bool profile_to_stderr_ = false;
   bool serial_required_ = false;  ///< --trace/--heartbeat share global sinks (forces --jobs 1)
-  bool shards_blocked_ = false;   ///< --trace/span flags need the serial backend
+  bool shards_blocked_ = false;   ///< --trace/span/scale/mem flags need the serial backend
   double heartbeat_seconds_ = 0;
   std::string json_path_;
   bool list_ = false;

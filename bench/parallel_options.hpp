@@ -43,9 +43,10 @@ struct ParallelOptions {
   std::size_t sweep_jobs(bool serial_sinks) const noexcept;
 
   /// In-run shard count to request, given whether serial-only
-  /// instrumentation (trace or span collection, which assume the serial
-  /// backend's single dispatch thread) is active: that forces 0 (serial
-  /// backend); otherwise the resolved shards value. Heartbeats do NOT
+  /// instrumentation (trace or span collection, or the scale and memory
+  /// profilers, which assume the serial backend's single event stream) is
+  /// active: that forces 0 (serial backend); otherwise the resolved shards
+  /// value. Heartbeats do NOT
   /// block sharding — the sharded coordinator ticks them between barrier
   /// windows (they still force --jobs 1 via sweep_jobs, a shared stderr
   /// stream).

@@ -124,7 +124,7 @@ void RunContext::instrument(sim::Simulator& sim) {
       // the captured simulator reference cannot outlive its run.
       sim::Simulator* s = &sim;
       timeseries_->probe("mem.live_bytes",
-                         [s] { return static_cast<double>(s->mem_live_bytes()); });
+                         [m = mem_] { return static_cast<double>(m->live_bytes()); });
       timeseries_->probe("sim.queue_depth",
                          [s] { return static_cast<double>(s->events_pending()); });
     }
@@ -274,16 +274,17 @@ SweepResult run_sweep(const ScenarioSpec& spec, const SweepOptions& opts) {
           slot.audit = std::make_unique<sim::ShardAuditor>();
           ctx.audit_ = slot.audit.get();
         }
+        if ((opts.scale || opts.mem) && !slot.audit) {
+          // Shard attribution (scale load, memory footprint) rides the
+          // auditor's claims; fail-soft so profiling never turns into
+          // policing.
+          slot.audit = std::make_unique<sim::ShardAuditor>();
+          slot.audit->set_fail_fast(false);
+          ctx.audit_ = slot.audit.get();
+        }
         if (opts.scale) {
           slot.scale = std::make_unique<sim::ScaleProfiler>();
           ctx.scale_ = slot.scale.get();
-          if (!slot.audit) {
-            // Shard attribution rides the auditor's component registry;
-            // fail-soft so profiling never turns into policing.
-            slot.audit = std::make_unique<sim::ShardAuditor>();
-            slot.audit->set_fail_fast(false);
-            ctx.audit_ = slot.audit.get();
-          }
         }
         if (opts.exec) {
           slot.exec = std::make_unique<sim::ExecProfiler>();
@@ -292,13 +293,6 @@ SweepResult run_sweep(const ScenarioSpec& spec, const SweepOptions& opts) {
         if (opts.mem) {
           slot.mem = std::make_unique<sim::MemProfiler>();
           ctx.mem_ = slot.mem.get();
-          if (!slot.audit) {
-            // Per-shard footprint attribution rides the auditor's claim;
-            // fail-soft so profiling never turns into policing.
-            slot.audit = std::make_unique<sim::ShardAuditor>();
-            slot.audit->set_fail_fast(false);
-            ctx.audit_ = slot.audit.get();
-          }
         }
         if (serial) ctx.heartbeat_seconds_ = opts.heartbeat_seconds;
         ctx.shards_ = opts.shards;

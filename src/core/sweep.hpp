@@ -144,28 +144,13 @@ class RunContext {
   /// audits into its own instance, merged in run-index order.
   sim::ShardAuditor* audit() noexcept { return audit_; }
 
-  /// This run's scale profiler, or nullptr unless SweepOptions::scale was
-  /// set. instrument() attaches it to the simulator (together with an
-  /// auto-created, fail-soft auditor when --audit was not also requested,
-  /// so shard attribution always works). Each run profiles into its own
-  /// instance, merged in run-index order.
-  sim::ScaleProfiler* scale() noexcept { return scale_; }
-
-  /// This run's execution profiler, or nullptr unless SweepOptions::exec
-  /// was set. instrument() attaches it to the simulator; the backends then
-  /// record wall-clock barrier/worker timings into it. Wall-clock data:
-  /// merged run records are NOT byte-identical across invocations (see
-  /// sim/exec_profile.hpp), which is why exec reports live in their own
-  /// files rather than in .metrics.
-  sim::ExecProfiler* exec() noexcept { return exec_; }
-
   /// This run's memory profiler, or nullptr unless SweepOptions::mem was
   /// set. instrument() attaches it to the simulator (plus a fail-soft
-  /// auditor when neither --audit nor --scale created one, so per-shard
-  /// footprint attribution always works) and registers live-bytes /
-  /// queue-depth gauges on the run's TimeSeriesRecorder when one exists.
-  /// Each run profiles into its own instance, merged in run-index order —
-  /// so merged exports are byte-identical at any --jobs and --shards.
+  /// auditor when --audit did not create one, so per-shard footprint
+  /// attribution always works) and registers live-bytes / queue-depth
+  /// gauges on the run's TimeSeriesRecorder when one exists. Each run
+  /// profiles into its own instance, merged in run-index order — so merged
+  /// exports are byte-identical at any --jobs.
   sim::MemProfiler* mem() noexcept { return mem_; }
 
  private:
@@ -225,18 +210,20 @@ struct SweepOptions {
   /// afterwards in run-index order). Fail-fast: a cross-shard mutation
   /// throws out of the offending run with a causal report.
   bool audit = false;
-  /// Give each run its own ScaleProfiler via RunContext::scale() (merged
+  /// Give each run its own ScaleProfiler, attached by instrument() (merged
   /// afterwards in run-index order). Implies a fail-soft ShardAuditor when
   /// audit is off, since shard attribution rides the auditor's registry.
+  /// Serial backend only: with `shards` > 0 the run throws
+  /// std::logic_error.
   bool scale = false;
-  /// Give each run its own ExecProfiler via RunContext::exec() (merged
+  /// Give each run its own ExecProfiler, attached by instrument() (merged
   /// afterwards in run-index order). Wall-clock runtime observability —
   /// the merged aggregates are exempt from the byte-identity contract.
   bool exec = false;
   /// Give each run its own MemProfiler via RunContext::mem() (merged
   /// afterwards in run-index order; sim-deterministic, so merged exports
-  /// are byte-identical at any --jobs and --shards). Implies a fail-soft
-  /// ShardAuditor when audit/scale did not create one.
+  /// are byte-identical at any --jobs). Implies a fail-soft ShardAuditor
+  /// when audit is off. Serial backend only, like `scale`.
   bool mem = false;
   /// In-run parallelism: when > 0, RunContext::instrument() installs a
   /// sim::ShardedBackend with this many worker threads on the run's

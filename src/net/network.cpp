@@ -7,7 +7,6 @@
 
 #include "sim/exec_backend.hpp"
 #include "sim/mem_profile.hpp"
-#include "sim/scale_profile.hpp"
 #include "sim/shard_audit.hpp"
 
 namespace tussle::sim {
@@ -277,17 +276,13 @@ Link& Network::connect(NodeId a, NodeId b, double bits_per_second, sim::Duration
   link.dirs_[1].ingress = node(a).attach_interface(id);
   link.dirs_[0].ingress = node(b).attach_interface(id);
   // Cross-AS propagation delays bound how early one owner can affect
-  // another: the minimum becomes the sharded backend's barrier lookahead
-  // (a no-op for same-AS pairs and on the serial backend).
+  // another: the minimum becomes the sharded backend's barrier lookahead,
+  // and the scale profiler's lookahead registry (same-AS pairs are
+  // ignored).
   sim_->register_lookahead(static_cast<sim::ShardId>(node(a).as()),
                            static_cast<sim::ShardId>(node(b).as()), propagation);
   if (auto* au = auditor()) au->register_component("net.link", id, link_shard(*this, a, b));
   if (auto* mp = mem_profiler()) mp->register_actor("net.link", sizeof(Link));
-  if (auto* sp = scale_profiler()) {
-    // Cross-AS propagation delays are the PDES lookahead; same-AS pairs are
-    // ignored by register_link.
-    sp->register_link(node(a).as(), node(b).as(), propagation);
-  }
   return link;
 }
 

@@ -213,16 +213,11 @@ class Network {
   /// mutation — the same contract as spans().
   sim::ShardAuditor* auditor() const noexcept { return sim_->auditor(); }
 
-  /// Scale profiler, read through the owning simulator like the auditor.
-  /// connect registers lookahead links with it. Null (the default) costs
-  /// one pointer load + branch per registration point.
-  sim::ScaleProfiler* scale_profiler() const noexcept { return sim_->scale_profiler(); }
-
   /// Memory profiler, read through the owning simulator like the auditor.
   /// add_node/connect register actor footprints, emit() records packet
   /// birth/death lifetimes and link-queue occupancy, and forwarding notes
   /// FIB pointer-chase depth. Null (the default) costs one pointer load +
-  /// branch per hook point.
+  /// branch per hook point. Serial backend only (see Simulator).
   sim::MemProfiler* mem_profiler() const noexcept { return sim_->mem_profiler(); }
 
   /// The one choke point of the packet lifecycle: every originate, mirror,
@@ -230,9 +225,9 @@ class Network {
   /// once. It bumps the NetCounters field, opens or closes the packet's
   /// MemProfiler lifetime (and samples "net.link_queue"), writes the span
   /// tracer's packet, drop and redirect records, and renders the JSONL
-  /// trace line. Each sink is resolved when the event's kind needs it,
-  /// through the lane-aware accessors, so inside a sharded worker event
-  /// counters and profilers are the owner's lanes.
+  /// trace line. Each sink is resolved when the event's kind needs it:
+  /// counters() is lane-aware, so inside a sharded worker event it is the
+  /// owner's lane; the memory profiler is attached only to serial runs.
   void emit(const PacketEvent& e);
 
   /// Observers invoked on every successful local delivery, after the node's

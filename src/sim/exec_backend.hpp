@@ -17,10 +17,10 @@
 //
 //  * ExecCtx — the per-thread execution context. Under the sharded
 //    backend every worker event runs with a context installed; Simulator
-//    accessors (now(), rng(), auditor(), scale_profiler(),
-//    mem_profiler()) resolve through it so component code is
-//    backend-agnostic. Serial execution never installs one, so the serial
-//    hot path pays a single thread-local load per accessor call.
+//    accessors (now(), rng(), auditor()) resolve through it so component
+//    code is backend-agnostic. Serial execution never installs one, so
+//    the serial hot path pays a single thread-local load per accessor
+//    call.
 //
 //  * shard_lane<T>() — per-owner copies of shared state objects (packet
 //    counters, id sources, ...). Under the sharded backend each owner
@@ -45,9 +45,7 @@
 namespace tussle::sim {
 
 class Simulator;
-class ScaleProfiler;
 class ExecProfiler;
-class MemProfiler;
 class Rng;
 
 /// Per-thread execution context installed by a backend while it dispatches
@@ -60,8 +58,6 @@ struct ExecCtx {
   SimTime now{};
   Rng* rng = nullptr;               ///< stream to serve Simulator::rng()
   ShardAuditor* auditor = nullptr;  ///< lane to serve Simulator::auditor()
-  ScaleProfiler* scale = nullptr;   ///< lane to serve Simulator::scale_profiler()
-  MemProfiler* mem = nullptr;       ///< lane to serve Simulator::mem_profiler()
   ShardId owner = kNoShard;
   bool control = false;  ///< true while a barrier-phase control event runs
 };
@@ -136,12 +132,6 @@ class ExecutionBackend {
   /// step throw std::logic_error.
   virtual bool step() = 0;
 
-  /// Modeled live bytes across every attached MemProfiler instance: the
-  /// base profiler here; the sharded backend adds its per-owner lanes
-  /// (safe from control events — workers are parked at the barrier).
-  /// 0 when no profiler is attached.
-  virtual std::int64_t mem_live_bytes() const;
-
  protected:
   explicit ExecutionBackend(Simulator& sim) noexcept : sim_(&sim) {}
   Simulator& sim() noexcept { return *sim_; }
@@ -157,11 +147,9 @@ class ExecutionBackend {
   bool stop_requested() const noexcept;
   void clear_stop() noexcept;
   void add_executed(std::size_t n) noexcept;
-  /// The typed observers the simulator itself has attached (its base
-  /// instances, whatever the calling thread); nullptr when detached.
+  /// The auditor and exec profiler the simulator itself has attached (its
+  /// base instances, whatever the calling thread); nullptr when detached.
   ShardAuditor* auditor_hook() const noexcept;
-  ScaleProfiler* scale_hook() const noexcept;
-  MemProfiler* mem_hook() const noexcept;
   ExecProfiler* exec_hook() const noexcept;
   /// Heartbeat support for non-serial backends: true when a heartbeat is
   /// configured, reset at run() start, and a tick the coordinator calls

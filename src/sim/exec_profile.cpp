@@ -1,7 +1,6 @@
 #include "sim/exec_profile.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "sim/html.hpp"
 #include "sim/json.hpp"
@@ -10,18 +9,6 @@
 namespace tussle::sim {
 
 namespace {
-
-std::string owner_label(ShardId s) {
-  if (s == kNoShard) return "none";
-  if (s == kSharedShard) return "shared";
-  return std::to_string(s);
-}
-
-/// Same bucketing as the ScaleProfiler's depth/queue histograms: bucket b
-/// covers [2^(b-1), 2^b - 1], bucket 0 = zero.
-std::uint32_t log2_bucket(std::uint64_t v) {
-  return static_cast<std::uint32_t>(std::bit_width(v));
-}
 
 /// The ScaleProfiler's virtual-barrier window cost, replayed over measured
 /// per-owner loads: owners ordered by (events desc, id asc) are greedily
@@ -388,8 +375,8 @@ std::string ExecProfiler::report_json() const {
   w.key("outbox").begin_array();
   for (const auto& [key, v] : volumes()) {
     w.begin_object();
-    w.key("src").value(owner_label(key.first));
-    w.key("dst").value(owner_label(key.second));
+    w.key("src").value(shard_label(key.first));
+    w.key("dst").value(shard_label(key.second));
     w.key("events").value(v.events);
     w.key("bytes").value(v.bytes);
     w.end_object();

@@ -54,7 +54,8 @@ class ExecProfiler {
   /// Chrome trace (aggregates stay complete) so long runs stay bounded.
   static constexpr std::size_t kMaxSliceWindows = 512;
   /// Modeled bytes per cross-owner message (control block + payload
-  /// handle), mirroring the ScaleProfiler's event-size estimate.
+  /// handle): the MemProfiler's event control block,
+  /// kEventControlBlockBytes (sim/mem_profile.hpp).
   static constexpr std::uint64_t kMsgBytes = 96;
 
   /// One worker's share of one barrier window (seconds of wall time).

@@ -1,9 +1,20 @@
 #include "sim/html.hpp"
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 
 namespace tussle::sim {
+
+std::string shard_label(ShardId s) {
+  if (s == kNoShard) return "none";
+  if (s == kSharedShard) return "shared";
+  return std::to_string(s);
+}
+
+std::uint32_t log2_bucket(std::uint64_t v) noexcept {
+  return static_cast<std::uint32_t>(std::bit_width(v));
+}
 
 std::string html_escape(std::string_view s) {
   std::string out;

@@ -1,15 +1,26 @@
-// The dashboard kit: what the self-contained, zero-script HTML dashboards
+// The report kit: what the self-contained, zero-script HTML dashboards
 // (scale, memory, execution and time-series) share — one page head with
 // one stylesheet (light/dark via prefers-color-scheme), card scaffolding,
-// and the number formatting every inline-SVG chart uses. Output is a pure
-// function of the arguments, so dashboards stay byte-identical for a
-// given profiler state.
+// and the number formatting every inline-SVG chart uses — plus the shard
+// label and histogram bucket every JSON report shares. Output is a pure
+// function of the arguments, so reports stay byte-identical for a given
+// profiler state.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
+#include "sim/observer.hpp"
+
 namespace tussle::sim {
+
+/// "none" for kNoShard, "shared" for kSharedShard, else the decimal id.
+std::string shard_label(ShardId s);
+
+/// Power-of-two histogram bucket: 0 -> 0, and bucket b covers
+/// [2^(b-1), 2^b - 1].
+std::uint32_t log2_bucket(std::uint64_t v) noexcept;
 
 std::string html_escape(std::string_view s);
 

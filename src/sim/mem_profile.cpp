@@ -1,7 +1,6 @@
 #include "sim/mem_profile.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 
 #include "sim/html.hpp"
@@ -11,21 +10,10 @@ namespace tussle::sim {
 
 namespace {
 
-/// Power-of-two bucket: 0 -> 0, and bucket b covers [2^(b-1), 2^b - 1].
-std::uint32_t log2_bucket(std::uint64_t v) noexcept {
-  return static_cast<std::uint32_t>(std::bit_width(v));
-}
-
 /// Negative durations cannot happen (sim time is monotone within a run),
 /// but a defensive clamp keeps the bucket math total.
 std::uint32_t duration_bucket(std::int64_t ns) noexcept {
   return log2_bucket(ns > 0 ? static_cast<std::uint64_t>(ns) : 0u);
-}
-
-std::string shard_label(ShardId s) {
-  if (s == kNoShard) return "none";
-  if (s == kSharedShard) return "shared";
-  return std::to_string(s);
 }
 
 std::string event_site(const TaskTag& tag) {
@@ -240,12 +228,6 @@ std::vector<MemProfiler::LocalityScore> MemProfiler::locality_scores() const {
 }
 
 // ------------------------------------------------------------------- merge
-
-std::unique_ptr<Observer> MemProfiler::make_lane() const {
-  return std::make_unique<MemProfiler>();
-}
-
-void MemProfiler::fold(const Observer& lane) { merge(static_cast<const MemProfiler&>(lane)); }
 
 void MemProfiler::merge(const MemProfiler& other) {
   // Finalize the other side's per-run quantities *before* summing raw

@@ -19,7 +19,7 @@
 //      into a predicted arena/SoA benefit — the analogue of the
 //      ScaleProfiler's predicted-speedup curve, and the ranking that says
 //      which component the refactor should flatten first;
-//  (d) peak/steady live-bytes per shard, so the sharded backend's memory
+//  (d) peak/steady live-bytes per shard, so a sharded partition's memory
 //      footprint is attributable per owner.
 //
 // One accounting source: this is the only profiler that counts
@@ -36,16 +36,15 @@
 //  - all accumulation structures that survive to a merge point are
 //    ordered containers, so reports are byte-identical across runs;
 //  - sweep runs record into per-run instances merged in run-index order,
-//    so exports are byte-identical at any --jobs; on the sharded backend
-//    each owner lane records into its own instance and lanes fold in
-//    ascending-owner order, so exports are byte-identical at any --shards;
+//    so exports are byte-identical at any --jobs;
 //  - the profiler is a sim::Observer: a simulator with no observer
-//    attached pays one empty-list branch per event.
+//    attached pays one empty-list branch per event. It has no per-owner
+//    lanes, so it runs on the serial backend only (ShardedBackend::run()
+//    refuses it).
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -94,9 +93,9 @@ class MemProfiler : public Observer {
   /// saw claim it (kNoShard when unclaimed or no auditor is attached).
   /// Attributes the dispatch's live-bytes delta to that shard.
   void end_event(ShardId shard) override;
-  /// A lane is an empty profiler at the default tick.
-  std::unique_ptr<Observer> make_lane() const override;
-  void fold(const Observer& lane) override;
+  // No make_lane(): a packet is born and dies on different owners and a
+  // run has one peak, so per-owner lanes cannot hold the footprint — the
+  // profiler runs on the serial backend only.
 
   // --- accounting hooks (components) ---------------------------------------
   /// Counts one long-lived actor of `kind` at an estimated resident size;

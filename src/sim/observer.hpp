@@ -19,7 +19,10 @@
 // the backend calls make_lane() once per attached observer per owner, and
 // at run() end it folds each lane back with fold() in ascending owner
 // order, so merged reports are shard-count independent. Lanes exist only
-// for attached observers.
+// for attached observers. An observer whose make_lane() returns nullptr
+// models one global event stream that per-owner lanes cannot hold (the
+// scale and memory profilers): it runs on the serial backend only, and
+// ShardedBackend::run() refuses it with std::logic_error.
 //
 // Cost: a simulator with no observer attached pays one empty-list branch
 // per event.
@@ -75,10 +78,12 @@ class Observer {
 
   /// A fresh, empty instance of the same kind for one owner's lane under
   /// the sharded backend. It carries configuration the hooks need (the
-  /// auditor's fail-fast switch), never recorded data.
-  virtual std::unique_ptr<Observer> make_lane() const = 0;
+  /// auditor's fail-fast switch), never recorded data. nullptr, the
+  /// default, means "serial backend only".
+  virtual std::unique_ptr<Observer> make_lane() const { return nullptr; }
   /// Folds a finished lane, built by this observer's make_lane(), into it.
-  virtual void fold(const Observer& lane) = 0;
+  /// An observer with lanes overrides both.
+  virtual void fold(const Observer& /*lane*/) {}
 };
 
 // Hook fan-out shared by the backends. `List` holds Observer pointers, raw

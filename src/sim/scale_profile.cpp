@@ -1,7 +1,6 @@
 #include "sim/scale_profile.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 
 #include "sim/html.hpp"
@@ -10,17 +9,6 @@
 namespace tussle::sim {
 
 namespace {
-
-/// Power-of-two bucket: 0 -> 0, and bucket b covers [2^(b-1), 2^b - 1].
-std::uint32_t log2_bucket(std::uint64_t v) noexcept {
-  return static_cast<std::uint32_t>(std::bit_width(v));
-}
-
-std::string shard_label(ShardId s) {
-  if (s == kNoShard) return "none";
-  if (s == kSharedShard) return "shared";
-  return std::to_string(s);
-}
 
 std::string tag_label(const TaskTag& tag) {
   std::string out = tag.component != nullptr ? tag.component : "(untagged)";
@@ -280,12 +268,6 @@ std::int64_t ScaleProfiler::tail_time_ns() const noexcept {
 }
 
 // ------------------------------------------------------------------- merge
-
-std::unique_ptr<Observer> ScaleProfiler::make_lane() const {
-  return std::make_unique<ScaleProfiler>();
-}
-
-void ScaleProfiler::fold(const Observer& lane) { merge(static_cast<const ScaleProfiler&>(lane)); }
 
 void ScaleProfiler::merge(const ScaleProfiler& other) {
   // Finalize the other side's per-run quantities *before* summing raw

@@ -13,8 +13,8 @@
 //  (b) the cross-shard traffic matrix: which shard schedules events into
 //      which — the PDES communication graph — with the minimum observed
 //      scheduling delay per (from, to) pair, plus the *static* lookahead
-//      registry (min cross-shard link latency per shard pair, registered
-//      by Network::connect);
+//      registry (min cross-shard link latency per shard pair, declared
+//      through Simulator::register_lookahead);
 //  (c) critical-path analysis over event causality: an event scheduled
 //      while another event is dispatching is its causal child, so the
 //      longest schedule-parent chain is the span of the event DAG and
@@ -43,12 +43,13 @@
 //  - sweep runs record into per-run instances merged in run-index order,
 //    so exports are byte-identical at any --jobs;
 //  - the profiler is a sim::Observer: a simulator with no observer
-//    attached pays one empty-list branch per event.
+//    attached pays one empty-list branch per event. It has no per-owner
+//    lanes, so it runs on the serial backend only (ShardedBackend::run()
+//    refuses it).
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -81,11 +82,10 @@ class ScaleProfiler : public Observer {
   /// The event's handler returned; `shard` is the shard the ShardAuditor
   /// saw claim it (kNoShard when unclaimed or no auditor is attached).
   void end_event(ShardId shard) override;
-  /// A lane is an empty profiler at the default tick.
-  std::unique_ptr<Observer> make_lane() const override;
-  void fold(const Observer& lane) override;
+  // No make_lane(): causal depth crosses owners, so per-owner lanes cannot
+  // hold the event DAG — the profiler runs on the serial backend only.
 
-  // --- world-registration hooks (Network / component builders) ------------
+  // --- world-registration hook (Simulator::register_lookahead) ------------
   /// Registers a link between two provisional shards with its propagation
   /// latency; cross-shard minima become the PDES lookahead distribution.
   /// Same-shard registrations are ignored.

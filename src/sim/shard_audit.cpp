@@ -1,18 +1,9 @@
 #include "sim/shard_audit.hpp"
 
+#include "sim/html.hpp"
 #include "sim/json.hpp"
 
 namespace tussle::sim {
-
-namespace {
-
-std::string shard_name(ShardId s) {
-  if (s == kNoShard) return "none";
-  if (s == kSharedShard) return "shared";
-  return std::to_string(s);
-}
-
-}  // namespace
 
 void ShardAuditor::begin_event(std::uint64_t /*id*/, SimTime now,
                                std::size_t /*queue_depth*/, const TaskTag& tag) {
@@ -71,8 +62,8 @@ ShardAccess ShardAuditor::make_access(std::string_view kind, std::uint64_t id,
 
 std::string ShardAuditor::describe(const ShardAccess& a) const {
   std::string out = "shard-audit violation: " + a.component + " #" +
-                    std::to_string(a.id) + " owned by shard " + shard_name(a.owner) +
-                    " mutated from shard " + shard_name(a.accessor) +
+                    std::to_string(a.id) + " owned by shard " + shard_label(a.owner) +
+                    " mutated from shard " + shard_label(a.accessor) +
                     " without an event-queue hop\n";
   out += "  mutator: " + a.what + "\n";
   out += "  event:   " +
@@ -178,7 +169,7 @@ std::string ShardAuditor::report_json() const {
   w.key("components").begin_array();
   for (const auto& [shard, kinds] : per_shard) {
     w.begin_object();
-    w.key("shard").value(shard_name(shard));
+    w.key("shard").value(shard_label(shard));
     w.key("kinds").begin_object();
     for (const auto& [kind, count] : kinds) w.key(kind).value(count);
     w.end_object();
@@ -192,7 +183,7 @@ std::string ShardAuditor::report_json() const {
     w.key("component").value(key.first);
     w.key("what").value(key.second);
     w.key("by_shard").begin_object();
-    for (const auto& [shard, count] : tally) w.key(shard_name(shard)).value(count);
+    for (const auto& [shard, count] : tally) w.key(shard_label(shard)).value(count);
     w.end_object();
     w.end_object();
   }
@@ -213,8 +204,8 @@ std::string ShardAuditor::report_json() const {
     w.begin_object();
     w.key("component").value(a.component);
     w.key("id").value(a.id);
-    w.key("owner").value(shard_name(a.owner));
-    w.key("accessor").value(shard_name(a.accessor));
+    w.key("owner").value(shard_label(a.owner));
+    w.key("accessor").value(shard_label(a.accessor));
     w.key("what").value(a.what);
     w.key("event").value(a.event_component + "/" + a.event_kind);
     w.key("t_ns").value(static_cast<std::int64_t>(a.time.as_nanos()));

@@ -8,8 +8,6 @@
 #include <thread>
 #include <utility>
 
-#include "sim/mem_profile.hpp"
-#include "sim/scale_profile.hpp"
 #include "sim/simulator.hpp"
 
 namespace tussle::sim {
@@ -217,8 +215,6 @@ std::size_t ShardedBackend::process_lp(Lp& lp, SimTime window_end,
   ctx.lp = &lp;
   ctx.rng = &lp.rng;
   ctx.auditor = lp.audit;
-  ctx.scale = lp.scale;
-  ctx.mem = lp.mem;
   ctx.owner = lp.owner;
   CtxGuard guard(&ctx);
   std::size_t n = 0;
@@ -242,26 +238,34 @@ std::size_t ShardedBackend::process_lp(Lp& lp, SimTime window_end,
   return n;
 }
 
-void ShardedBackend::drain_lp(std::size_t index, Lp& dst, ExecProfiler::WorkerLane* xl) {
-  // Gather this destination's inbox: slot `index` of every source outbox.
-  // Each slot has exactly one reader (this worker) after the barrier, so
-  // the gather is race-free without locks.
+template <typename OnDrained>
+std::vector<ShardedBackend::Msg> ShardedBackend::gather_inbox(std::size_t slot,
+                                                              OnDrained drained) {
+  // Each slot has exactly one reader after the barrier (the destination's
+  // worker, or the coordinator for the control slot), so the gather is
+  // race-free without locks.
   std::vector<Msg> msgs;
   for (auto& src : lps_) {
-    auto& slot = src->outbox[index];
-    if (slot.empty()) continue;
-    if (xl != nullptr) xl->drained(src->owner, dst.owner, slot.size());
-    msgs.insert(msgs.end(), std::make_move_iterator(slot.begin()),
-                std::make_move_iterator(slot.end()));
-    slot.clear();
+    auto& box = src->outbox[slot];
+    if (box.empty()) continue;
+    drained(src->owner, box.size());
+    msgs.insert(msgs.end(), std::make_move_iterator(box.begin()),
+                std::make_move_iterator(box.end()));
+    box.clear();
   }
-  if (msgs.empty()) return;
   // Canonical arrival order: (time, source owner, source sequence) — a pure
   // function of the simulation, independent of worker interleaving.
   std::sort(msgs.begin(), msgs.end(), [](const Msg& a, const Msg& b) {
     if (a.at != b.at) return a.at < b.at;
     if (a.src != b.src) return a.src < b.src;
     return a.seq < b.seq;
+  });
+  return msgs;
+}
+
+void ShardedBackend::drain_lp(std::size_t index, Lp& dst, ExecProfiler::WorkerLane* xl) {
+  std::vector<Msg> msgs = gather_inbox(index, [xl, &dst](ShardId src, std::size_t n) {
+    if (xl != nullptr) xl->drained(src, dst.owner, n);
   });
   for (auto& m : msgs) {
     if (m.at < dst.lp_now) {
@@ -281,22 +285,9 @@ void ShardedBackend::drain_lp(std::size_t index, Lp& dst, ExecProfiler::WorkerLa
 }
 
 void ShardedBackend::drain_control_inbox() {
-  std::vector<Msg> msgs;
   ExecProfiler* const ex = exec_hook();
-  const std::size_t slot_index = lps_.size();
-  for (auto& src : lps_) {
-    auto& slot = src->outbox[slot_index];
-    if (slot.empty()) continue;
-    if (ex != nullptr) ex->record_drained(src->owner, kNoShard, slot.size());
-    msgs.insert(msgs.end(), std::make_move_iterator(slot.begin()),
-                std::make_move_iterator(slot.end()));
-    slot.clear();
-  }
-  if (msgs.empty()) return;
-  std::sort(msgs.begin(), msgs.end(), [](const Msg& a, const Msg& b) {
-    if (a.at != b.at) return a.at < b.at;
-    if (a.src != b.src) return a.src < b.src;
-    return a.seq < b.seq;
+  std::vector<Msg> msgs = gather_inbox(lps_.size(), [ex](ShardId src, std::size_t n) {
+    if (ex != nullptr) ex->record_drained(src, kNoShard, n);
   });
   for (auto& m : msgs) {
     const EventId id = control_.push(m.at, std::move(m.action), m.tag);
@@ -320,8 +311,6 @@ std::size_t ShardedBackend::run_control_at(SimTime tc) {
   ctx.control = true;
   ctx.rng = &base_rng();
   ctx.auditor = au;
-  ctx.scale = scale_hook();
-  ctx.mem = mem_hook();
   CtxGuard guard(&ctx);
   while (!control_.empty() && control_.next_time() == tc && !stop_requested()) {
     auto ev = control_.pop();
@@ -366,14 +355,6 @@ void* shard_lane_raw(Simulator& sim, void* base, LaneMakeFn make, LaneFoldFn fol
   return backend->lane(base, make, fold, destroy);
 }
 
-std::int64_t ShardedBackend::mem_live_bytes() const {
-  std::int64_t total = ExecutionBackend::mem_live_bytes();
-  for (const auto& lp : lps_) {
-    if (lp->mem != nullptr) total += lp->mem->live_bytes();
-  }
-  return total;
-}
-
 void ShardedBackend::fold_state_lanes() {
   // Ascending owner order (lps_ is sorted), so merged results never depend
   // on the shard count. Folds reset the lane, so they are incremental.
@@ -383,19 +364,25 @@ void ShardedBackend::fold_state_lanes() {
 }
 
 void ShardedBackend::open_observer_lanes() {
-  lane_bases_ = sim().observers();
   const Observer* const audit = auditor_hook();
-  const Observer* const scale = scale_hook();
-  const Observer* const mem = mem_hook();
   for (auto& lp : lps_) {
-    for (const Observer* base : lane_bases_) {
-      lp->observers.push_back(base->make_lane());
-      Observer* const lane = lp->observers.back().get();
-      if (base == audit) lp->audit = static_cast<ShardAuditor*>(lane);
-      if (base == scale) lp->scale = static_cast<ScaleProfiler*>(lane);
-      if (base == mem) lp->mem = static_cast<MemProfiler*>(lane);
+    for (const Observer* base : sim().observers()) {
+      std::unique_ptr<Observer> lane = base->make_lane();
+      if (lane == nullptr) {
+        for (auto& built : lps_) {
+          built->observers.clear();
+          built->audit = nullptr;
+        }
+        throw std::logic_error(
+            "ShardedBackend::run: an attached observer has no per-owner lanes; the "
+            "scale and memory profilers model one global event stream and run on the "
+            "serial backend only");
+      }
+      if (base == audit) lp->audit = static_cast<ShardAuditor*>(lane.get());
+      lp->observers.push_back(std::move(lane));
     }
   }
+  lane_bases_ = sim().observers();
 }
 
 void ShardedBackend::fold_observer_lanes() {
@@ -407,8 +394,6 @@ void ShardedBackend::fold_observer_lanes() {
     }
     lp->observers.clear();
     lp->audit = nullptr;
-    lp->scale = nullptr;
-    lp->mem = nullptr;
   }
   lane_bases_.clear();
 }
@@ -416,9 +401,9 @@ void ShardedBackend::fold_observer_lanes() {
 // -------------------------------------------------------------------- run --
 
 std::size_t ShardedBackend::run(SimTime horizon) {
+  open_observer_lanes();
   clear_stop();
   running_ = true;
-  open_observer_lanes();
   const std::size_t control_slot = lps_.size();
   for (auto& lp : lps_) {
     if (lp->outbox.size() != control_slot + 1) lp->outbox.resize(control_slot + 1);

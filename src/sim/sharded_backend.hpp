@@ -43,10 +43,12 @@
 // first use and fold at every control batch. Observer lanes
 // (sim/observer.hpp) are built at run() start — one per attached observer
 // per owner, none when nothing is attached — and fold at run() end, on
-// the error path too. Events a worker schedules or cancels for its own
-// owner, and cross-owner messages at drain time, are recorded by the
-// owner's lanes; setup and control scheduling by the simulator's own
-// observers.
+// the error path too. An attached observer without lanes (the scale and
+// memory profilers, which model one global event stream) makes run()
+// throw std::logic_error before any worker starts. Events a worker
+// schedules or cancels for its own owner, and cross-owner messages at
+// drain time, are recorded by the owner's lanes; setup and control
+// scheduling by the simulator's own observers.
 #pragma once
 
 #include <cstdint>
@@ -91,13 +93,11 @@ class ShardedBackend final : public ExecutionBackend {
   bool runs_here(ShardId owner) const noexcept override;
   void register_owner(ShardId owner) override;
   void register_lookahead(ShardId a, ShardId b, Duration latency) override;
+  /// Throws std::logic_error, before any worker starts, when an attached
+  /// observer has no lanes (Observer::make_lane() returns nullptr).
   std::size_t run(SimTime horizon) override;
   /// Not meaningful under parallel execution; throws std::logic_error.
   bool step() override;
-  /// Base profiler plus every owner lane. Callers must be the coordinator
-  /// or a control event (workers are parked, so lane reads are ordered by
-  /// the barrier).
-  std::int64_t mem_live_bytes() const override;
 
   std::size_t shard_count() const noexcept { return shards_; }
   std::size_t owner_count() const noexcept { return lps_.size(); }
@@ -140,12 +140,10 @@ class ShardedBackend final : public ExecutionBackend {
     std::vector<std::vector<Msg>> outbox;
     std::map<const void*, LaneEntry> lanes;  ///< shard_lane<T> storage
     /// One lane per attached observer, in attach order; live only while
-    /// run() is. The typed pointers name the auditor's, scale profiler's
-    /// and memory profiler's lanes among them (ExecCtx serves those).
+    /// run() is. `audit` names the auditor's lane among them (ExecCtx
+    /// serves it).
     std::vector<std::unique_ptr<Observer>> observers;
     ShardAuditor* audit = nullptr;
-    ScaleProfiler* scale = nullptr;
-    MemProfiler* mem = nullptr;
     std::size_t executed = 0;
     std::exception_ptr error;
 
@@ -163,11 +161,17 @@ class ShardedBackend final : public ExecutionBackend {
   /// Dispatches lp's events inside the window; returns how many ran. `xl`
   /// is the calling worker's exec-profiler lane (nullptr when detached).
   std::size_t process_lp(Lp& lp, SimTime window_end, ExecProfiler::WorkerLane* xl);
+  /// Moves outbox slot `slot` of every source into one list sorted by
+  /// (time, source owner, source sequence), calling `drained(src, n)` per
+  /// non-empty source.
+  template <typename OnDrained>
+  std::vector<Msg> gather_inbox(std::size_t slot, OnDrained drained);
   void drain_lp(std::size_t index, Lp& dst, ExecProfiler::WorkerLane* xl);
   void drain_control_inbox();
   std::size_t run_control_at(SimTime tc);
   void fold_state_lanes();
-  /// Builds every owner's observer lanes (run() start).
+  /// Builds every owner's observer lanes (run() start); throws
+  /// std::logic_error, leaving none, when an observer has no lanes.
   void open_observer_lanes();
   /// Folds and drops them, ascending owner order (run() end).
   void fold_observer_lanes();

@@ -32,13 +32,7 @@ void ExecutionBackend::clear_stop() noexcept {
 }
 void ExecutionBackend::add_executed(std::size_t n) noexcept { sim_->executed_ += n; }
 ShardAuditor* ExecutionBackend::auditor_hook() const noexcept { return sim_->auditor_; }
-ScaleProfiler* ExecutionBackend::scale_hook() const noexcept { return sim_->scale_; }
 ExecProfiler* ExecutionBackend::exec_hook() const noexcept { return sim_->exec_; }
-MemProfiler* ExecutionBackend::mem_hook() const noexcept { return sim_->mem_; }
-
-std::int64_t ExecutionBackend::mem_live_bytes() const {
-  return sim_->mem_ != nullptr ? sim_->mem_->live_bytes() : 0;
-}
 
 bool ExecutionBackend::heartbeat_active() const noexcept {
   return static_cast<bool>(sim_->heartbeat_);
@@ -82,6 +76,11 @@ void Simulator::set_backend(std::unique_ptr<ExecutionBackend> backend) {
         "before building the scenario");
   }
   backend_ = std::move(backend);
+}
+
+void Simulator::register_lookahead(ShardId a, ShardId b, Duration latency) {
+  backend_->register_lookahead(a, b, latency);
+  if (scale_ != nullptr) scale_->register_link(a, b, latency);
 }
 
 // ------------------------------------------------------ scheduling surface --

@@ -10,10 +10,11 @@
 //    barrier-synchronized parallel execution, one logical process per
 //    owner (AS), byte-identical output at any shard count.
 //
-// Component code stays backend-agnostic: now()/rng()/auditor()/
-// scale_profiler()/mem_profiler() resolve through the per-thread ExecCtx
-// when a sharded worker is dispatching, and fall back to the simulator's
-// own state otherwise (one thread-local load per call on the serial path).
+// Component code stays backend-agnostic: now()/rng()/auditor() resolve
+// through the per-thread ExecCtx when a sharded worker is dispatching, and
+// fall back to the simulator's own state otherwise (one thread-local load
+// per call on the serial path). The scale and memory profilers model one
+// global event stream and run on the serial backend only.
 //
 // Observability (all off by default):
 //  - attach() adds a per-event sim::Observer (sim/observer.hpp): the shard
@@ -100,11 +101,11 @@ class Simulator {
   void register_owner(ShardId owner) { backend_->register_owner(owner); }
 
   /// Declares a static latency bound between two owners (Network::connect
-  /// registers every cross-AS link); the minimum is the sharded backend's
-  /// barrier-window lookahead.
-  void register_lookahead(ShardId a, ShardId b, Duration latency) {
-    backend_->register_lookahead(a, b, latency);
-  }
+  /// registers every cross-AS link): the one place a cross-owner latency
+  /// is declared. The minimum is the sharded backend's barrier-window
+  /// lookahead, and an attached scale profiler records the per-pair
+  /// minima as its lookahead registry.
+  void register_lookahead(ShardId a, ShardId b, Duration latency);
 
   // --- scheduling -----------------------------------------------------------
 
@@ -189,14 +190,10 @@ class Simulator {
   /// per-shard loads, and queue-depth profile from the observer hooks (see
   /// sim/scale_profile.hpp). Works best with an auditor attached too —
   /// shard attribution comes from the auditor's claims, and without one
-  /// every event lands on kNoShard. Not owned. Inside a sharded worker
-  /// event the accessor returns the worker's per-owner lane.
+  /// every event lands on kNoShard. Not owned. Serial backend only: a
+  /// ShardedBackend run() with it attached throws std::logic_error.
   void set_scale_profiler(ScaleProfiler* scale);
-  ScaleProfiler* scale_profiler() const noexcept {
-    const ExecCtx* c = current_exec_ctx();
-    if (c != nullptr && c->sim == this) return c->scale;
-    return scale_;
-  }
+  ScaleProfiler* scale_profiler() const noexcept { return scale_; }
 
   /// Attaches (or detaches, with nullptr) the memory profiler, replacing
   /// any attached before in its list position. It accounts
@@ -204,21 +201,10 @@ class Simulator {
   /// components report packet births/deaths, actor registrations, and
   /// pointer-chase hops through it (see sim/mem_profile.hpp). Works best
   /// with an auditor attached too — per-shard footprints come from the
-  /// auditor's claims. Not owned. Inside a sharded worker event the
-  /// accessor returns the worker's per-owner lane.
+  /// auditor's claims. Not owned. Serial backend only, like the scale
+  /// profiler.
   void set_mem_profiler(MemProfiler* mem);
-  MemProfiler* mem_profiler() const noexcept {
-    const ExecCtx* c = current_exec_ctx();
-    if (c != nullptr && c->sim == this) return c->mem;
-    return mem_;
-  }
-
-  /// Modeled live bytes currently attributed to this simulator's attached
-  /// memory profiler(s): the base profiler under serial execution, base
-  /// plus every owner lane under the sharded backend (safe to read from
-  /// control events — workers are parked). 0 when none is attached. The
-  /// --dashboard "mem.live_bytes" gauge samples this.
-  std::int64_t mem_live_bytes() const { return backend_->mem_live_bytes(); }
+  MemProfiler* mem_profiler() const noexcept { return mem_; }
 
   /// Attaches (or detaches, with nullptr) the execution profiler, which
   /// records the runtime's own wall-clock behavior (barrier windows, worker

@@ -1,12 +1,17 @@
 // bench::run exit codes: every requested export must land on disk or fail
-// the process loudly, and an audit violation keeps its own exit code.
+// the process loudly, and an audit violation keeps its own exit code. And
+// the serial-backend rule: flags whose reports model one global event
+// stream write the serial report under --shards.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "harness.hpp"
+#include "net/network.hpp"
 #include "sim/shard_audit.hpp"
 
 namespace tussle::bench {
@@ -43,6 +48,60 @@ TEST(HarnessExit, WritableJsonPathExitsZeroAndWritesTheReport) {
 
 TEST(HarnessExit, AuditViolationExitsOne) {
   EXPECT_EQ(run_args({}, [](Harness&) { throw sim::ShardViolation("violation", {}); }), 1);
+}
+
+/// One case: a two-AS link carrying three probes per run, instrumented the
+/// way every bench body instruments its simulator.
+void two_as_case(Harness& h) {
+  core::ScenarioSpec spec;
+  spec.name = "two-as";
+  spec.replicas = 2;
+  spec.body = [](core::RunContext& ctx) {
+    sim::Simulator sim;
+    ctx.instrument(sim);
+    net::Network net(sim);
+    const net::NodeId a = net.add_node(1);
+    const net::NodeId b = net.add_node(2);
+    net.connect(a, b, 1e7, sim::Duration::millis(1));
+    const net::Address dst{.provider = 2, .subscriber = 1, .host = 1};
+    net.node(b).add_address(dst);
+    net.node(b).set_local_handler([](const net::Packet&) {});
+    net.node(a).forwarding().set_default_route(0);
+    for (int i = 0; i < 3; ++i) {
+      sim.schedule_for(1, sim::Duration::millis(1 + i), sim::TaskTag{"test", "probe"},
+                       [&net, a, dst] {
+                         net::Packet p;
+                         p.src = net::Address{.provider = 1, .subscriber = 1, .host = 1};
+                         p.dst = dst;
+                         net.node(a).originate(p);
+                       });
+    }
+    ctx.add_events(sim.run());
+  };
+  h.scenario(spec);
+}
+
+std::string slurp(const fs::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(HarnessShards, ScaleAndMemReportsUnderShardsAreTheSerialOnes) {
+  const fs::path dir = fs::temp_directory_path();
+  const fs::path scale[2] = {dir / "tussle-harness-scale-0.json",
+                             dir / "tussle-harness-scale-2.json"};
+  const fs::path mem[2] = {dir / "tussle-harness-mem-0.json", dir / "tussle-harness-mem-2.json"};
+  ASSERT_EQ(run_args({"--scale-json", scale[0].string(), "--mem-json", mem[0].string()},
+                     two_as_case),
+            0);
+  ASSERT_EQ(run_args({"--shards", "2", "--scale-json", scale[1].string(), "--mem-json",
+                      mem[1].string()},
+                     two_as_case),
+            0);
+  EXPECT_NE(slurp(scale[0]).find("\"runs\":2,"), std::string::npos);
+  EXPECT_EQ(slurp(scale[0]), slurp(scale[1]));
+  EXPECT_EQ(slurp(mem[0]), slurp(mem[1]));
+  for (const auto& p : {scale[0], scale[1], mem[0], mem[1]}) fs::remove(p);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/sweep.hpp"
 #include "net/network.hpp"
 
@@ -315,12 +318,11 @@ core::ScenarioSpec chain_spec(std::size_t replicas) {
   return spec;
 }
 
-std::string merged_mem_report(std::size_t jobs, std::size_t shards) {
+std::string merged_mem_report(std::size_t jobs) {
   core::SweepOptions opts;
   opts.base_seed = 7;
   opts.jobs = jobs;
   opts.mem = true;
-  opts.shards = shards;
   const core::SweepResult result = core::run_sweep(chain_spec(8), opts);
   sim::MemProfiler merged;
   for (const auto& r : result.runs) {
@@ -328,23 +330,40 @@ std::string merged_mem_report(std::size_t jobs, std::size_t shards) {
     EXPECT_NE(r.audit, nullptr);  // fail-soft auditor auto-attached
     if (r.mem) merged.merge(*r.mem);
   }
-  // A recording instance counts as one run. Serial: one per sweep run.
-  // Sharded: one per owner lane that dispatched (3 lanes here) — a function
-  // of the topology, never of the worker count.
-  EXPECT_EQ(merged.runs(), shards == 0 ? 8u : 24u);
+  // A recording instance counts as one run: one per sweep run.
+  EXPECT_EQ(merged.runs(), 8u);
   return merged.report_json();
 }
 
 TEST(MemProfile, MergedReportByteIdenticalAcrossJobs) {
-  EXPECT_EQ(merged_mem_report(/*jobs=*/1, /*shards=*/0),
-            merged_mem_report(/*jobs=*/8, /*shards=*/0));
+  EXPECT_EQ(merged_mem_report(/*jobs=*/1), merged_mem_report(/*jobs=*/8));
 }
 
-TEST(MemProfile, MergedReportByteIdenticalAcrossShards) {
-  const std::string one = merged_mem_report(/*jobs=*/1, /*shards=*/1);
-  EXPECT_EQ(one, merged_mem_report(/*jobs=*/1, /*shards=*/8));
-  // And the two parallelism axes compose.
-  EXPECT_EQ(one, merged_mem_report(/*jobs=*/8, /*shards=*/8));
+/// What a sharded sweep of the chain throws, or "" when it runs.
+std::string sharded_sweep_error(bool mem, bool scale) {
+  core::SweepOptions opts;
+  opts.jobs = 1;
+  opts.shards = 2;
+  opts.mem = mem;
+  opts.scale = scale;
+  try {
+    core::run_sweep(chain_spec(2), opts);
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(MemProfile, ShardedSweepRefusesTheMemoryAndScaleProfilers) {
+  // Both profilers model one global event stream (a packet born on one
+  // owner dies on another; causal depth crosses owners), which per-owner
+  // lanes cannot hold, so a sharded run refuses them instead of reporting
+  // one run per owner lane.
+  EXPECT_NE(sharded_sweep_error(/*mem=*/true, /*scale=*/false).find("serial backend only"),
+            std::string::npos);
+  EXPECT_NE(sharded_sweep_error(/*mem=*/false, /*scale=*/true).find("serial backend only"),
+            std::string::npos);
+  EXPECT_EQ(sharded_sweep_error(/*mem=*/false, /*scale=*/false), "");
 }
 
 TEST(MemProfile, SweepRegistersTimeseriesGauges) {

@@ -7,17 +7,20 @@
 // auditor's own end hook (which resets the claim) runs first. Under the
 // sharded backend each attached observer gets one lane per owner per run,
 // and the lanes fold in ascending owner order back to the serial totals.
-// The real sinks (auditor, scale and loop profilers) then produce the same
-// reports at k = 1 and k = 4.
+// The real sinks with lanes (auditor, loop profiler) then produce the same
+// reports at k = 1 and k = 4; the scale and memory profilers have none, and
+// a sharded run refuses them before any event runs.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "net/network.hpp"
+#include "sim/mem_profile.hpp"
 #include "sim/observer.hpp"
 #include "sim/profiler.hpp"
 #include "sim/scale_profile.hpp"
@@ -237,13 +240,47 @@ TEST(ObserverLanes, ProcessRecordHoldsNoEmbeddedSink) {
   EXPECT_LE(sizeof(ShardedBackend::Lp), 400u);
 }
 
+TEST(ObserverLanes, LanelessProfilersAreRefusedBeforeAnyEventRuns) {
+  for (const bool scale_attached : {true, false}) {
+    SCOPED_TRACE(scale_attached ? "scale profiler" : "memory profiler");
+    Simulator sim;
+    install(sim, 2);
+    Recorder r;
+    ScaleProfiler scale;
+    MemProfiler mem;
+    sim.attach(&r);  // ahead of the profiler, so its lanes are built first
+    if (scale_attached) {
+      sim.set_scale_profiler(&scale);
+    } else {
+      sim.set_mem_profiler(&mem);
+    }
+    build_world(sim);
+    const std::size_t pending = sim.events_pending();
+    EXPECT_THROW(sim.run(), std::logic_error);
+    EXPECT_EQ(sim.events_executed(), 0u);
+    EXPECT_EQ(sim.events_pending(), pending);
+    EXPECT_TRUE(r.claims.empty());  // no event began or ended
+    EXPECT_TRUE(r.fold_order.empty());
+    EXPECT_EQ(scale.work() + mem.work(), 0u);
+
+    // Detached, the same simulator runs the whole script, with lanes for
+    // the recorder only.
+    sim.set_scale_profiler(nullptr);
+    sim.set_mem_profiler(nullptr);
+    const int lanes_before = r.lanes_made;
+    EXPECT_EQ(sim.run(), kOwners * kEventsPerOwner);
+    EXPECT_EQ(r.lanes_made - lanes_before, static_cast<int>(kOwners));
+    EXPECT_EQ(r.scheduled, kScheduled);
+    EXPECT_EQ(r.cancelled, kCancelled);
+  }
+}
+
 // --- the real sinks at k = 1 vs k = 4 --------------------------------------
 //
 // A six-AS chain; probes from AS 1 and AS 3 cross every boundary to AS 6.
 
 struct SinkReports {
   std::string audit;
-  std::string scale;
   std::map<std::string, std::uint64_t> loop_cells;  ///< "component/kind" -> events
 };
 
@@ -251,10 +288,8 @@ SinkReports chain_reports(std::size_t shards) {
   Simulator sim(11);
   install(sim, shards);
   ShardAuditor audit;
-  ScaleProfiler scale;
   LoopProfiler loop;
   sim.set_auditor(&audit);
-  sim.set_scale_profiler(&scale);
   sim.attach(&loop);
   net::Network net(sim);
   std::vector<net::NodeId> nodes;
@@ -286,16 +321,14 @@ SinkReports chain_reports(std::size_t shards) {
   EXPECT_EQ(net.counters().delivered.value(), 12);
   SinkReports r;
   r.audit = audit.report_json();
-  r.scale = scale.report_json();
   for (const auto& h : loop.hotspots(64)) r.loop_cells[h.component + "/" + h.kind] = h.events;
   return r;
 }
 
-TEST(ObserverLanes, AuditScaleAndLoopReportsAreShardCountIndependent) {
+TEST(ObserverLanes, AuditAndLoopReportsAreShardCountIndependent) {
   const SinkReports one = chain_reports(1);
   const SinkReports four = chain_reports(4);
   EXPECT_EQ(one.audit, four.audit);
-  EXPECT_EQ(one.scale, four.scale);
   EXPECT_EQ(one.loop_cells, four.loop_cells);
   EXPECT_GT(one.loop_cells.at("test/probe"), 0u);
 }
