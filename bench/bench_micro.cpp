@@ -4,7 +4,12 @@
 // so users can size their experiments.
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "core/tussle.hpp"
+#include "sim/mem_profile.hpp"
+#include "sim/scale_profile.hpp"
+#include "sim/shard_audit.hpp"
 
 using namespace tussle;
 
@@ -87,10 +92,28 @@ void BM_SimulatorEventDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorEventDispatch);
 
-void BM_PacketForwardingLine(benchmark::State& state) {
+/// The observers capture-observed attaches, in its order: the shard
+/// auditor, then the scale and memory profilers.
+struct Observers {
+  sim::ShardAuditor audit;
+  sim::ScaleProfiler scale;
+  sim::MemProfiler mem;
+
+  explicit Observers(sim::Simulator& sim) {
+    sim.set_auditor(&audit);
+    sim.set_scale_profiler(&scale);
+    sim.set_mem_profiler(&mem);
+  }
+};
+
+// 100 packets down a line of `hops` nodes, with the observers attached
+// before the world is built (as RunContext::instrument does) or not at all.
+void forwarding_line(benchmark::State& state, bool observed) {
   const auto hops = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     sim::Simulator sim;
+    std::optional<Observers> observers;
+    if (observed) observers.emplace(sim);
     net::Network net(sim);
     net::LinkSpec spec;
     spec.bandwidth_bps = 1e12;  // effectively free links: measure CPU path
@@ -112,7 +135,14 @@ void BM_PacketForwardingLine(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 100 *
                           static_cast<std::int64_t>(hops));
 }
+
+void BM_PacketForwardingLine(benchmark::State& state) { forwarding_line(state, false); }
 BENCHMARK(BM_PacketForwardingLine)->Arg(8)->Arg(32);
+
+// The same line with the observers attached: their hooks per event and per
+// hop, and their per-world set-up, without the rest of the capture world.
+void BM_ObservedForwardingLine(benchmark::State& state) { forwarding_line(state, true); }
+BENCHMARK(BM_ObservedForwardingLine)->Arg(8);
 
 // One packet hop over one link, one packet per item: Link::transmit_from
 // (enqueue, then dequeue onto the wire), the serialize event, the propagate

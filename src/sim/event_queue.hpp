@@ -16,10 +16,12 @@
 // A sift therefore moves trivially copyable keys, never std::functions.
 // Tags always live in the slot; there is no per-event side table.
 //
-// Ids. EventId::value is id_base + seq + 1, so 0 means "no event" and the
-// default base keeps serial ids 1, 2, 3, ... Profilers key events by the
-// value, and the sharded backend routes cancel() by its high bits.
-// EventId::slot names the event's arena slot.
+// Ids. EventId (sim/observer.hpp) carries value = id_base + seq + 1, so 0
+// means "no event" and the default base keeps serial ids 1, 2, 3, ...; the
+// sharded backend routes cancel() by its high bits. EventId::slot names the
+// event's arena slot: unique among this queue's pending events and
+// tombstones, and reused once they leave it. Serial-only profilers index
+// their pending-event records by it (sim/observer.hpp).
 //
 // Cancel is O(1): it compares the id's sequence number with the slot's
 // live occupant (a fired event's slot is free or reused, so stale ids
@@ -42,13 +44,6 @@
 #include "sim/time.hpp"
 
 namespace tussle::sim {
-
-/// Opaque handle identifying a scheduled event, usable to cancel it.
-struct EventId {
-  std::uint64_t value = 0;  ///< id_base + seq + 1; 0 is "no event"
-  std::uint32_t slot = 0;   ///< the event's arena slot, checked against value
-  friend bool operator==(EventId, EventId) = default;
-};
 
 class EventQueue {
  public:

@@ -16,9 +16,7 @@ std::uint32_t duration_bucket(std::int64_t ns) noexcept {
   return log2_bucket(ns > 0 ? static_cast<std::uint64_t>(ns) : 0u);
 }
 
-std::string event_site(const TaskTag& tag) {
-  return std::string("sim.event/") + (tag.component != nullptr ? tag.component : "(untagged)");
-}
+constexpr std::string_view kEventSitePrefix = "sim.event/";
 
 /// Component prefix of an allocation site: the text before the first '/'
 /// ("sim.event/net.link" pools under "sim.event", "net.packet" under
@@ -50,8 +48,12 @@ void MemProfiler::set_tick(Duration tick) {
 }
 
 void MemProfiler::sample_timeline() {
-  std::int64_t& cell = timeline_[cur_time_ns_ / tick_.as_nanos()];
-  cell = std::max(cell, live_);
+  // Re-resolved on any change of row, not only forward: sim time restarts
+  // at 0 when the next simulator this profiler watches starts.
+  TimelineCell& t = *timeline_cell_;
+  const std::int64_t tick = cur_time_ns_ / tick_.as_nanos();
+  if (t.cell == nullptr || t.tick != tick) t = TimelineCell{tick, &timeline_[tick]};
+  *t.cell = std::max(*t.cell, live_);
 }
 
 void MemProfiler::add_live(std::int64_t delta) {
@@ -61,37 +63,53 @@ void MemProfiler::add_live(std::int64_t delta) {
   sample_timeline();
 }
 
-void MemProfiler::on_schedule(std::uint64_t id, SimTime now, SimTime /*at*/,
-                              const TaskTag& tag, ShardId /*origin*/) {
+std::uint32_t MemProfiler::event_site(const TaskTag& tag) {
+  const std::string_view component = tag.component != nullptr ? tag.component : "(untagged)";
+  for (std::size_t i = 0; i < event_sites_.size(); ++i) {
+    if (std::string_view(event_sites_[i]).substr(kEventSitePrefix.size()) == component) {
+      return static_cast<std::uint32_t>(i);
+    }
+  }
+  event_sites_.push_back(std::string(kEventSitePrefix).append(component));
+  return static_cast<std::uint32_t>(event_sites_.size() - 1);
+}
+
+MemProfiler::SiteStats& MemProfiler::event_site_stats(std::uint32_t site) {
+  std::vector<SiteStats*>& cells = *event_site_cells_;
+  if (site >= cells.size()) cells.resize(event_sites_.size(), nullptr);
+  SiteStats*& cell = cells[site];
+  if (cell == nullptr) cell = &site_cells_->get(sites_, event_sites_[site]);
+  return *cell;
+}
+
+void MemProfiler::on_schedule(EventId id, SimTime now, SimTime /*at*/, const TaskTag& tag,
+                              ShardId /*origin*/) {
   ++scheduled_;
   cur_time_ns_ = std::max(cur_time_ns_, now.as_nanos());
-  PendingEvent p;
-  p.sched_ns = now.as_nanos();
-  p.site = event_site(tag);
-  count_alloc(p.site, kEventControlBlockBytes);
-  pending_[id] = std::move(p);
+  const std::uint32_t site = event_site(tag);
+  alloc_at(event_site_stats(site), kEventControlBlockBytes);
+  pending_.put(id, PendingEvent{now.as_nanos(), site});
 }
 
-void MemProfiler::on_cancel(std::uint64_t id, SimTime now) {
+void MemProfiler::on_cancel(EventId id, SimTime now) {
   ++cancelled_;
-  const auto it = pending_.find(id);
-  if (it == pending_.end()) return;  // scheduled before the profiler attached
-  ev_cancelled_hist_[duration_bucket(now.as_nanos() - it->second.sched_ns)] += 1;
-  count_free(it->second.site, kEventControlBlockBytes);
-  pending_.erase(it);
+  PendingEvent p;
+  if (!pending_.take(id, p)) return;  // scheduled before the profiler attached
+  const std::uint32_t b = duration_bucket(now.as_nanos() - p.sched_ns);
+  ev_cancelled_cells_->get(ev_cancelled_hist_, b) += 1;
+  free_at(event_site_stats(p.site), kEventControlBlockBytes);
 }
 
-void MemProfiler::begin_event(std::uint64_t id, SimTime now, std::size_t queue_depth,
-                              const TaskTag& tag) {
-  (void)tag;
+void MemProfiler::begin_event(EventId id, SimTime now, std::size_t queue_depth,
+                              const TaskTag& /*tag*/) {
   in_event_ = true;
   cur_time_ns_ = now.as_nanos();
   cur_delta_ = 0;
   cur_hops_ = 0;
-  if (const auto it = pending_.find(id); it != pending_.end()) {
-    ev_dispatched_hist_[duration_bucket(now.as_nanos() - it->second.sched_ns)] += 1;
-    count_free(it->second.site, kEventControlBlockBytes);
-    pending_.erase(it);
+  if (PendingEvent p; pending_.take(id, p)) {
+    const std::uint32_t b = duration_bucket(now.as_nanos() - p.sched_ns);
+    ev_dispatched_cells_->get(ev_dispatched_hist_, b) += 1;
+    free_at(event_site_stats(p.site), kEventControlBlockBytes);
   }
   note_occupancy("sim.event_queue", static_cast<std::uint64_t>(queue_depth));
   note_hops("sim.dispatch", kDispatchChaseHops);
@@ -101,11 +119,14 @@ void MemProfiler::end_event(ShardId shard) {
   in_event_ = false;
   recorded_ = true;
   ++work_;
-  hops_hist_[log2_bucket(cur_hops_)] += 1;
-  ShardMem& sm = shard_mem_[shard];
+  hops_cells_->get(hops_hist_, log2_bucket(cur_hops_)) += 1;
+  ShardCell& c = (*shard_cells_)[shard % kShardWays];
+  if (c.mem == nullptr || c.shard != shard) c = ShardCell{shard, &shard_mem_[shard]};
+  ShardMem& sm = *c.mem;
   sm.events += 1;
   sm.live += cur_delta_;
   sm.peak_live = std::max(sm.peak_live, sm.live);
+  pending_.drained();
 }
 
 void MemProfiler::register_actor(const char* kind, std::uint64_t bytes) {
@@ -117,8 +138,15 @@ void MemProfiler::register_actor(const char* kind, std::uint64_t bytes) {
   count_alloc(kind, bytes);
 }
 
-void MemProfiler::count_alloc(const std::string& site, std::uint64_t bytes) {
-  SiteStats& s = sites_[site];
+void MemProfiler::count_alloc(std::string_view site, std::uint64_t bytes) {
+  alloc_at(site_cells_->get(sites_, site), bytes);
+}
+
+void MemProfiler::count_free(std::string_view site, std::uint64_t bytes) {
+  free_at(site_cells_->get(sites_, site), bytes);
+}
+
+void MemProfiler::alloc_at(SiteStats& s, std::uint64_t bytes) {
   s.allocs += 1;
   s.alloc_bytes += bytes;
   s.peak_live = std::max(s.peak_live, s.live());
@@ -126,8 +154,7 @@ void MemProfiler::count_alloc(const std::string& site, std::uint64_t bytes) {
   add_live(static_cast<std::int64_t>(bytes));
 }
 
-void MemProfiler::count_free(const std::string& site, std::uint64_t bytes) {
-  SiteStats& s = sites_[site];
+void MemProfiler::free_at(SiteStats& s, std::uint64_t bytes) {
   s.frees += 1;
   s.freed_bytes += bytes;
   add_live(-static_cast<std::int64_t>(bytes));
@@ -144,7 +171,8 @@ void MemProfiler::packet_birth(std::uint64_t uid, SimTime now, std::uint64_t byt
 void MemProfiler::packet_delivered(std::uint64_t uid, SimTime now) {
   const auto it = pending_packets_.find(uid);
   if (it == pending_packets_.end()) return;  // mirrored copy: first death won
-  pkt_delivered_hist_[duration_bucket(now.as_nanos() - it->second.birth_ns)] += 1;
+  const std::uint32_t b = duration_bucket(now.as_nanos() - it->second.birth_ns);
+  pkt_delivered_cells_->get(pkt_delivered_hist_, b) += 1;
   count_free("net.packet", it->second.bytes);
   pending_packets_.erase(it);
 }
@@ -152,20 +180,21 @@ void MemProfiler::packet_delivered(std::uint64_t uid, SimTime now) {
 void MemProfiler::packet_dropped(std::uint64_t uid, SimTime now) {
   const auto it = pending_packets_.find(uid);
   if (it == pending_packets_.end()) return;
-  pkt_dropped_hist_[duration_bucket(now.as_nanos() - it->second.birth_ns)] += 1;
+  const std::uint32_t b = duration_bucket(now.as_nanos() - it->second.birth_ns);
+  pkt_dropped_cells_->get(pkt_dropped_hist_, b) += 1;
   count_free("net.packet", it->second.bytes);
   pending_packets_.erase(it);
 }
 
 void MemProfiler::note_hops(const char* component, std::uint64_t hops) {
-  ChaseStats& c = chase_[component];
+  ChaseStats& c = chase_cells_->get(chase_, component);
   c.calls += 1;
   c.hops += hops;
   if (in_event_) cur_hops_ += hops;
 }
 
 void MemProfiler::note_occupancy(const char* container, std::uint64_t size) {
-  OccupancyStats& o = occ_[container];
+  OccupancyStats& o = occ_cells_->get(occ_, container);
   o.samples += 1;
   o.sum += size;
   o.max = std::max(o.max, size);

@@ -41,11 +41,21 @@
 //    attached pays one empty-list branch per event. It has no per-owner
 //    lanes, so it runs on the serial backend only (ShardedBackend::run()
 //    refuses it).
+//
+// Per-event cost: no allocation once warm, except packet_birth's lifetime
+// record (one map node per packet). A pending event's record sits in a
+// table indexed by its queue slot (sim/observer.hpp) and names its
+// "sim.event/<component>" site by an index resolved once per component;
+// sites, chase and occupancy cells are found by content in short lists of
+// the names seen, histogram cells per bucket, shard cells per shard, and
+// the timeline cell per tick row.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -54,17 +64,22 @@
 
 namespace tussle::sim {
 
-/// Estimated resident bytes of one scheduled event: the heap Entry (time,
-/// seq, id, std::function) plus the typical out-of-line closure the
-/// std::function small-buffer optimisation cannot hold. A model constant,
-/// not a measurement — the arena-allocation refactor gates on the *count*;
-/// bytes give the report a common unit with packets and actors.
+/// Modeled resident bytes of one scheduled event. The value was set for an
+/// earlier engine (a heap entry holding the std::function, plus an
+/// out-of-line closure); today's queue keeps a 16-byte heap key and a slot
+/// holding the action and tag (sim/event_queue.hpp), and the link events
+/// that dominate the data plane fit std::function's inline buffer. A model
+/// constant, not a measurement: it stays at its old value because every
+/// committed memory report counts in it, and recalibrating the model
+/// against the real allocator is one change for all its constants.
 inline constexpr std::uint64_t kEventControlBlockBytes = 96;
 
-/// Base pointer-chase depth of one dispatch before any component adds its
-/// own hops: queue top → heap event handle → out-of-line closure target.
-/// A model constant of today's std::function-based queue; the calendar
-/// queue / arena refactor aims to cut it to 1.
+/// Modeled pointer-chase depth of one dispatch before any component adds
+/// its own hops. The value counts an earlier engine's chain (heap entry,
+/// event handle, out-of-line closure); today's dispatch reads the heap key,
+/// then the slot's action, whose link closures are inline. Kept, like
+/// kEventControlBlockBytes, for the committed reports until the model is
+/// recalibrated as a whole.
 inline constexpr std::uint64_t kDispatchChaseHops = 3;
 
 class MemProfiler : public Observer {
@@ -79,15 +94,15 @@ class MemProfiler : public Observer {
   /// An event was scheduled: counts one event-control-block allocation
   /// under "sim.event/<component>" and opens its schedule→dispatch/cancel
   /// lifetime.
-  void on_schedule(std::uint64_t id, SimTime now, SimTime at, const TaskTag& tag,
+  void on_schedule(EventId id, SimTime now, SimTime at, const TaskTag& tag,
                    ShardId origin) override;
   /// A pending event was cancelled before firing: closes its lifetime into
   /// the cancelled histogram and frees its control block.
-  void on_cancel(std::uint64_t id, SimTime now) override;
+  void on_cancel(EventId id, SimTime now) override;
   /// Dispatch is about to run event `id`: closes its lifetime into the
   /// dispatched histogram, frees its control block, samples event-queue
   /// occupancy, and opens the per-dispatch chase/churn window.
-  void begin_event(std::uint64_t id, SimTime now, std::size_t queue_depth,
+  void begin_event(EventId id, SimTime now, std::size_t queue_depth,
                    const TaskTag& tag) override;
   /// The event's handler returned; `shard` is the shard the ShardAuditor
   /// saw claim it (kNoShard when unclaimed or no auditor is attached).
@@ -103,9 +118,9 @@ class MemProfiler : public Observer {
   void register_actor(const char* kind, std::uint64_t bytes);
   /// Counts one allocation of `site` at `bytes` model bytes into the
   /// live-bytes account.
-  void count_alloc(const std::string& site, std::uint64_t bytes);
+  void count_alloc(std::string_view site, std::uint64_t bytes);
   /// Counts one free of `site`; live-bytes go down by `bytes`.
-  void count_free(const std::string& site, std::uint64_t bytes);
+  void count_free(std::string_view site, std::uint64_t bytes);
 
   // --- packet lifetimes -----------------------------------------------------
   /// A packet was originated (uid assigned): opens its birth→death lifetime
@@ -251,20 +266,37 @@ class MemProfiler : public Observer {
  private:
   struct PendingEvent {
     std::int64_t sched_ns = 0;
-    std::string site;  ///< "sim.event/<component>" to free at death
+    std::uint32_t site = 0;  ///< index into event_sites_, freed at death
   };
   struct PendingPacket {
     std::int64_t birth_ns = 0;
     std::uint64_t bytes = 0;
   };
+  struct ShardCell {
+    ShardId shard = kNoShard;
+    ShardMem* mem = nullptr;  ///< nullptr: way unused
+  };
+  struct TimelineCell {
+    std::int64_t tick = 0;
+    std::int64_t* cell = nullptr;
+  };
+  static constexpr std::size_t kShardWays = 64;
 
+  /// Index of `tag`'s "sim.event/<component>" site in event_sites_.
+  std::uint32_t event_site(const TaskTag& tag);
+  SiteStats& event_site_stats(std::uint32_t site);
+  void alloc_at(SiteStats& s, std::uint64_t bytes);
+  void free_at(SiteStats& s, std::uint64_t bytes);
   void sample_timeline();
   void add_live(std::int64_t delta);
 
   // --- configuration / in-flight state ---
   Duration tick_ = Duration::millis(10);
-  std::map<std::uint64_t, PendingEvent> pending_;
+  PendingTable<PendingEvent> pending_;
   std::map<std::uint64_t, PendingPacket> pending_packets_;
+  /// "sim.event/<component>" per component seen, in first-seen order; the
+  /// names, not map pointers, so a copy's pending records stay its own.
+  std::vector<std::string> event_sites_;
   bool in_event_ = false;
   std::int64_t cur_time_ns_ = 0;
   std::int64_t cur_delta_ = 0;   ///< live-bytes delta of the dispatching event
@@ -288,6 +320,19 @@ class MemProfiler : public Observer {
   std::map<std::string, OccupancyStats> occ_;
   std::map<ShardId, ShardMem> shard_mem_;
   std::map<std::int64_t, std::int64_t> timeline_;
+
+  // --- cells of the maps above, reached without a tree walk ---
+  LocalCache<std::vector<SiteStats*>> event_site_cells_;  ///< by event_sites_ index
+  LocalCache<NamedCells<SiteStats>> site_cells_;
+  LocalCache<NamedCells<ChaseStats>> chase_cells_;
+  LocalCache<NamedCells<OccupancyStats>> occ_cells_;
+  LocalCache<BucketCells> pkt_delivered_cells_;
+  LocalCache<BucketCells> pkt_dropped_cells_;
+  LocalCache<BucketCells> ev_dispatched_cells_;
+  LocalCache<BucketCells> ev_cancelled_cells_;
+  LocalCache<BucketCells> hops_cells_;
+  LocalCache<std::array<ShardCell, kShardWays>> shard_cells_;
+  LocalCache<TimelineCell> timeline_cell_;
 
   // --- own peak (this instance's recording) ---
   std::int64_t own_peak_ = 0;

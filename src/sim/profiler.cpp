@@ -110,8 +110,8 @@ void LoopProfiler::reset() noexcept {
   total_wall_ = 0;
 }
 
-void LoopProfiler::begin_event(std::uint64_t /*id*/, SimTime /*now*/,
-                               std::size_t /*queue_depth*/, const TaskTag& tag) {
+void LoopProfiler::begin_event(EventId /*id*/, SimTime /*now*/, std::size_t /*queue_depth*/,
+                               const TaskTag& tag) {
   cur_tag_ = tag;
   cur_start_ = wall_now_seconds();
 }

@@ -62,7 +62,7 @@ class LoopProfiler : public Observer {
   void reset() noexcept;
 
   // --- observer hooks: time the handler between begin and end -------------
-  void begin_event(std::uint64_t id, SimTime now, std::size_t queue_depth,
+  void begin_event(EventId id, SimTime now, std::size_t queue_depth,
                    const TaskTag& tag) override;
   void end_event(ShardId claimed) override;
   std::unique_ptr<Observer> make_lane() const override;

@@ -10,11 +10,11 @@ namespace tussle::sim {
 
 namespace {
 
-std::string tag_label(const TaskTag& tag) {
-  std::string out = tag.component != nullptr ? tag.component : "(untagged)";
+/// Writes "component/kind" into `out`, reusing its buffer.
+void assign_tag_label(std::string& out, const TaskTag& tag) {
+  out.assign(tag.component != nullptr ? tag.component : "(untagged)");
   out += '/';
   out += tag.kind != nullptr ? tag.kind : "(untagged)";
-  return out;
 }
 
 /// The k values the virtual barrier executor is evaluated at. 0 stands for
@@ -30,22 +30,19 @@ void ScaleProfiler::set_tick(Duration tick) {
   tick_ = tick;
 }
 
-void ScaleProfiler::on_schedule(std::uint64_t id, SimTime now, SimTime /*at*/,
+void ScaleProfiler::on_schedule(EventId id, SimTime now, SimTime /*at*/,
                                 const TaskTag& /*tag*/, ShardId origin) {
   ++scheduled_;
-  Pending p;
-  p.depth = in_event_ ? cur_.depth + 1 : 1;
-  p.origin = origin;
-  p.sched_ns = now.as_nanos();
-  pending_[id] = p;
+  pending_.put(id, Pending{in_event_ ? cur_.depth + 1 : 1, origin, now.as_nanos()});
 }
 
-void ScaleProfiler::on_cancel(std::uint64_t id, SimTime /*now*/) {
+void ScaleProfiler::on_cancel(EventId id, SimTime /*now*/) {
   ++cancelled_;
-  pending_.erase(id);
+  Pending gone;
+  pending_.take(id, gone);
 }
 
-void ScaleProfiler::begin_event(std::uint64_t id, SimTime now, std::size_t queue_depth,
+void ScaleProfiler::begin_event(EventId id, SimTime now, std::size_t queue_depth,
                                 const TaskTag& tag) {
   // The barrier-window width freezes at the first dispatch: the world (and
   // with it every cross-shard link) is built by then.
@@ -60,10 +57,7 @@ void ScaleProfiler::begin_event(std::uint64_t id, SimTime now, std::size_t queue
   }
   in_event_ = true;
   cur_time_ns_ = now.as_nanos();
-  if (auto it = pending_.find(id); it != pending_.end()) {
-    cur_ = it->second;
-    pending_.erase(it);
-  } else {
+  if (!pending_.take(id, cur_)) {
     // Scheduled before the profiler attached: a causal root.
     cur_ = Pending{1, kNoShard, now.as_nanos()};
   }
@@ -71,11 +65,11 @@ void ScaleProfiler::begin_event(std::uint64_t id, SimTime now, std::size_t queue
   ++queue_samples_;
   queue_sum_ += depth;
   queue_max_ = std::max(queue_max_, depth);
-  queue_hist_[log2_bucket(depth)] += 1;
-  depth_hist_[log2_bucket(cur_.depth)] += 1;
+  queue_cells_->get(queue_hist_, log2_bucket(depth)) += 1;
+  depth_cells_->get(depth_hist_, log2_bucket(cur_.depth)) += 1;
   if (cur_.depth > own_span_) {
     own_span_ = cur_.depth;
-    own_tail_ = tag_label(tag);
+    assign_tag_label(own_tail_, tag);
     own_tail_ns_ = cur_time_ns_;
   }
 }
@@ -84,14 +78,47 @@ void ScaleProfiler::end_event(ShardId shard) {
   in_event_ = false;
   recorded_ = true;
   ++work_;
-  shard_events_[shard] += 1;
-  tick_load_[{cur_time_ns_ / tick_.as_nanos(), shard}] += 1;
-  window_load_[{cur_time_ns_ / frozen_window_ns_, shard}] += 1;
-  TrafficEdge& e = traffic_[{cur_.origin, shard}];
+  ShardCells& c = shard_cells(shard);
+  *c.events += 1;
+  // A row is re-resolved on any change, not only forward: sim time
+  // restarts at 0 when the next simulator this profiler watches starts.
+  const std::int64_t tick = cur_time_ns_ / tick_.as_nanos();
+  if (c.tick_cell == nullptr || c.tick != tick) {
+    c.tick = tick;
+    c.tick_cell = &tick_load_[{tick, shard}];
+  }
+  *c.tick_cell += 1;
+  const std::int64_t window = cur_time_ns_ / frozen_window_ns_;
+  if (c.window_cell == nullptr || c.window != window) {
+    c.window = window;
+    c.window_cell = &window_load_[{window, shard}];
+  }
+  *c.window_cell += 1;
+  TrafficEdge& e = edge(cur_.origin, shard);
   const std::int64_t delay = cur_time_ns_ - cur_.sched_ns;
   if (e.events == 0 || delay < e.min_delay_ns) e.min_delay_ns = delay;
   e.events += 1;
   if (cur_.origin != shard && cur_.origin != kNoShard && shard != kNoShard) ++cross_;
+  pending_.drained();
+}
+
+ScaleProfiler::ShardCells& ScaleProfiler::shard_cells(ShardId shard) {
+  ShardCells& c = (*shard_cells_)[shard % kShardWays];
+  if (c.events == nullptr || c.shard != shard) {
+    c = ShardCells{};
+    c.shard = shard;
+    c.events = &shard_events_[shard];
+  }
+  return c;
+}
+
+ScaleProfiler::TrafficEdge& ScaleProfiler::edge(ShardId origin, ShardId shard) {
+  const std::uint32_t h = (origin * 0x9E3779B1u) ^ shard;
+  EdgeCell& c = (*edge_cells_)[(h ^ (h >> 16)) % kEdgeWays];
+  if (c.edge == nullptr || c.origin != origin || c.shard != shard) {
+    c = EdgeCell{origin, shard, &traffic_[{origin, shard}]};
+  }
+  return *c.edge;
 }
 
 void ScaleProfiler::register_link(ShardId a, ShardId b, Duration latency) {

@@ -46,8 +46,15 @@
 //    attached pays one empty-list branch per event. It has no per-owner
 //    lanes, so it runs on the serial backend only (ShardedBackend::run()
 //    refuses it).
+//
+// Per-event cost: no allocation once warm. A pending event's record sits
+// in a table indexed by its queue slot (sim/observer.hpp), and each
+// dispatch bumps cells cached per shard (its total, its tick and window
+// rows, the traffic edge) and per histogram bucket; a cell is looked up in
+// its map only when its row or key changes.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -68,16 +75,16 @@ class ScaleProfiler : public Observer {
   Duration tick() const noexcept { return tick_; }
 
   // --- observer hooks ------------------------------------------------------
-  /// An event was scheduled: `id` is the EventId value, `now` the schedule
-  /// time, `at` the fire time, `origin` the shard the scheduling event had
+  /// An event was scheduled: `id` names it, `now` is the schedule time,
+  /// `at` the fire time, `origin` the shard the scheduling event had
   /// claimed (kNoShard during setup). Records causal depth and origin.
-  void on_schedule(std::uint64_t id, SimTime now, SimTime at, const TaskTag& tag,
+  void on_schedule(EventId id, SimTime now, SimTime at, const TaskTag& tag,
                    ShardId origin) override;
   /// A pending event was cancelled before firing.
-  void on_cancel(std::uint64_t id, SimTime now) override;
+  void on_cancel(EventId id, SimTime now) override;
   /// Dispatch is about to run event `id`; `queue_depth` is the number of
   /// events still pending (sampled into the queue-depth histogram).
-  void begin_event(std::uint64_t id, SimTime now, std::size_t queue_depth,
+  void begin_event(EventId id, SimTime now, std::size_t queue_depth,
                    const TaskTag& tag) override;
   /// The event's handler returned; `shard` is the shard the ShardAuditor
   /// saw claim it (kNoShard when unclaimed or no auditor is attached).
@@ -180,6 +187,28 @@ class ScaleProfiler : public Observer {
     std::int64_t sched_ns = 0;    ///< schedule time
   };
 
+  /// The cells one shard's dispatches bump: its total, and its tick and
+  /// window rows as last resolved. One way per shard id modulo kShardWays;
+  /// a shard that takes another's way re-resolves them.
+  struct ShardCells {
+    ShardId shard = kNoShard;
+    std::uint64_t* events = nullptr;  ///< nullptr: way unused
+    std::int64_t tick = 0;
+    std::uint64_t* tick_cell = nullptr;
+    std::int64_t window = 0;
+    std::uint64_t* window_cell = nullptr;
+  };
+  /// One traffic edge per (origin, shard) hash modulo kEdgeWays.
+  struct EdgeCell {
+    ShardId origin = kNoShard;
+    ShardId shard = kNoShard;
+    TrafficEdge* edge = nullptr;  ///< nullptr: way unused
+  };
+  static constexpr std::size_t kShardWays = 64;
+  static constexpr std::size_t kEdgeWays = 256;
+  ShardCells& shard_cells(ShardId shard);
+  TrafficEdge& edge(ShardId origin, ShardId shard);
+
   /// Barrier costs of *this instance's own recording* (not merged runs),
   /// keyed by k (0 = ∞).
   std::map<std::uint64_t, std::uint64_t> own_costs() const;
@@ -190,7 +219,7 @@ class ScaleProfiler : public Observer {
 
   // --- configuration / in-flight state ---
   Duration tick_ = Duration::millis(10);
-  std::map<std::uint64_t, Pending> pending_;
+  PendingTable<Pending> pending_;
   bool in_event_ = false;
   Pending cur_;                 ///< the dispatching event's pending record
   std::int64_t cur_time_ns_ = 0;
@@ -212,6 +241,12 @@ class ScaleProfiler : public Observer {
   std::uint64_t queue_samples_ = 0;
   std::uint64_t queue_max_ = 0;
   std::uint64_t queue_sum_ = 0;
+
+  // --- cells of the maps above, reached without a tree walk ---
+  LocalCache<std::array<ShardCells, kShardWays>> shard_cells_;
+  LocalCache<std::array<EdgeCell, kEdgeWays>> edge_cells_;
+  LocalCache<BucketCells> depth_cells_;
+  LocalCache<BucketCells> queue_cells_;
 
   // --- own critical path (this instance's recording) ---
   std::uint64_t own_span_ = 0;

@@ -5,8 +5,8 @@
 
 namespace tussle::sim {
 
-void ShardAuditor::begin_event(std::uint64_t /*id*/, SimTime now,
-                               std::size_t /*queue_depth*/, const TaskTag& tag) {
+void ShardAuditor::begin_event(EventId /*id*/, SimTime now, std::size_t /*queue_depth*/,
+                               const TaskTag& tag) {
   ++events_;
   current_ = kNoShard;
   in_event_ = true;
@@ -42,7 +42,22 @@ void ShardAuditor::declare_control_event(const char* name) {
 
 void ShardAuditor::register_component(std::string_view kind, std::uint64_t id,
                                       ShardId shard) {
+  KnownKind* known = nullptr;
+  for (KnownKind& k : known_) {
+    if (k.kind == kind) {
+      known = &k;
+      break;
+    }
+  }
+  if (known != nullptr && id < known->ids.size() && known->ids[id]) return;
   components_.emplace(std::make_pair(std::string(kind), id), shard);
+  if (id >= kDenseIds) return;
+  if (known == nullptr) {
+    known_.push_back(KnownKind{std::string(kind), std::vector<bool>(id + 1)});
+    known = &known_.back();
+  }
+  if (id >= known->ids.size()) known->ids.resize(id + 1);
+  known->ids[id] = true;
 }
 
 ShardAccess ShardAuditor::make_access(std::string_view kind, std::uint64_t id,
@@ -129,7 +144,19 @@ void ShardAuditor::check_mutation(std::string_view kind, std::uint64_t id,
 }
 
 void ShardAuditor::record_shared_access(std::string_view kind, std::string_view what) {
-  shared_[std::make_pair(std::string(kind), std::string(what))][current_] += 1;
+  std::map<ShardId, std::uint64_t>* tally = nullptr;
+  for (const SharedCell& c : *shared_cells_) {
+    if (c.kind == kind && c.what == what) {
+      tally = c.tally;
+      break;
+    }
+  }
+  if (tally == nullptr) {
+    auto& node = *shared_.try_emplace(std::make_pair(std::string(kind), std::string(what))).first;
+    tally = &node.second;
+    shared_cells_->push_back(SharedCell{node.first.first, node.first.second, tally});
+  }
+  (*tally)[current_] += 1;
 }
 
 std::size_t ShardAuditor::shard_count() const {

@@ -27,7 +27,10 @@
 // (the pointer, not this class, is the guard), and the auditor never
 // schedules, samples a clock, or draws randomness, so enabling it cannot
 // change the event sequence. The report is a pure function of the event
-// sequence: byte-identical across runs.
+// sequence: byte-identical across runs. An audited hook allocates nothing
+// once warm: a repeat registration is a bitmap test (Network registers its
+// whole topology at build, and claim/check_mutation re-register on every
+// hop), and a shared-access tally is found by content in a short list.
 #pragma once
 
 #include <cstdint>
@@ -74,7 +77,7 @@ class ShardAuditor : public Observer {
   // --- observer hooks -----------------------------------------------------
   /// Called by dispatch before each event fires: resets the claimed shard
   /// and remembers the event's tag/time for causal reports.
-  void begin_event(std::uint64_t id, SimTime now, std::size_t queue_depth,
+  void begin_event(EventId id, SimTime now, std::size_t queue_depth,
                    const TaskTag& tag) override;
 
   /// Called by dispatch after each event's handler returns: closes the
@@ -104,9 +107,10 @@ class ShardAuditor : public Observer {
   void declare_control_event(const char* name);
 
   // --- registry -----------------------------------------------------------
-  /// Assigns (idempotently) a component instance to a shard. Hook sites
-  /// register lazily on first touch; Network registers its whole topology
-  /// eagerly when an auditor is attached.
+  /// Assigns (idempotently: the first registration wins) a component
+  /// instance to a shard. Hook sites register lazily on first touch;
+  /// Network registers its whole topology eagerly when an auditor is
+  /// attached. A repeat registration of an id below kDenseIds is O(1).
   void register_component(std::string_view kind, std::uint64_t id, ShardId shard);
 
   // --- checks -------------------------------------------------------------
@@ -156,6 +160,20 @@ class ShardAuditor : public Observer {
   void record_violation(const ShardAccess& a) { violations_.push_back(a); }
 
  private:
+  /// The ids of one component kind already in components_, as a bitmap.
+  struct KnownKind {
+    std::string kind;
+    std::vector<bool> ids;
+  };
+  /// Ids at or past this bound are checked in components_ instead.
+  static constexpr std::uint64_t kDenseIds = 1u << 20;
+  /// One shared_ tally, found by (kind, what) content.
+  struct SharedCell {
+    std::string_view kind;  ///< views the shared_ node's key
+    std::string_view what;
+    std::map<ShardId, std::uint64_t>* tally = nullptr;
+  };
+
   ShardAccess make_access(std::string_view kind, std::uint64_t id, ShardId owner,
                           std::string_view what) const;
 
@@ -179,6 +197,10 @@ class ShardAuditor : public Observer {
   /// (control-event name, kind/what) -> count, for declared barrier work.
   std::map<std::pair<std::string, std::string>, std::uint64_t> control_;
   std::vector<ShardAccess> violations_;
+  /// Registered (kind, id) pairs below kDenseIds: a subset of components_,
+  /// held as names and bits, so a copy keeps it.
+  std::vector<KnownKind> known_;
+  LocalCache<std::vector<SharedCell>> shared_cells_;
 };
 
 /// The shard `auditor` saw claim the current event; kNoShard without one.

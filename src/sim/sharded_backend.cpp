@@ -29,7 +29,7 @@ class CtxGuard {
 EventId push_owned(ShardedBackend::Lp& lp, SimTime now, SimTime at, TaskTag tag,
                    EventQueue::Action action) {
   const EventId id = lp.queue.push(at, std::move(action), tag);
-  observe_schedule(lp.observers, id.value, now, at, tag, claim_of(lp.audit));
+  observe_schedule(lp.observers, id, now, at, tag, claim_of(lp.audit));
   return id;
 }
 
@@ -98,7 +98,7 @@ ShardedBackend::Lp& ShardedBackend::lp_for(ShardId owner) {
 EventId ShardedBackend::push_base(EventQueue& queue, SimTime at, TaskTag tag,
                                   EventQueue::Action action) {
   const EventId id = queue.push(at, std::move(action), tag);
-  observe_schedule(sim().observers(), id.value, base_now(), at, tag, claim_of(auditor_hook()));
+  observe_schedule(sim().observers(), id, base_now(), at, tag, claim_of(auditor_hook()));
   return id;
 }
 
@@ -182,9 +182,9 @@ bool ShardedBackend::cancel(EventId id) {
   // lanes, setup/control pushes by the simulator's own observers — so the
   // pending-event bookkeeping (lifetime + control-block free) matches.
   if (worker != nullptr) {
-    observe_cancel(worker->observers, id.value, c->now);
+    observe_cancel(worker->observers, id, c->now);
   } else {
-    observe_cancel(sim().observers(), id.value, base_now());
+    observe_cancel(sim().observers(), id, base_now());
   }
   return true;
 }
@@ -226,7 +226,7 @@ std::size_t ShardedBackend::process_lp(Lp& lp, SimTime window_end,
     if (lp.observers.empty()) {
       ev.action();
     } else {
-      observe_begin(lp.observers, ev.id.value, ev.time, lp.queue.size(), ev.tag);
+      observe_begin(lp.observers, ev.id, ev.time, lp.queue.size(), ev.tag);
       ev.action();
       observe_end(lp.observers, claim_of(lp.audit));
     }
@@ -280,7 +280,7 @@ void ShardedBackend::drain_lp(std::size_t index, Lp& dst, ExecProfiler::WorkerLa
           "lookahead ahead");
     }
     const EventId id = dst.queue.push(m.at, std::move(m.action), m.tag);
-    observe_schedule(dst.observers, id.value, m.sent, m.at, m.tag, m.origin);
+    observe_schedule(dst.observers, id, m.sent, m.at, m.tag, m.origin);
   }
 }
 
@@ -291,7 +291,7 @@ void ShardedBackend::drain_control_inbox() {
   });
   for (auto& m : msgs) {
     const EventId id = control_.push(m.at, std::move(m.action), m.tag);
-    observe_schedule(sim().observers(), id.value, m.sent, m.at, m.tag, m.origin);
+    observe_schedule(sim().observers(), id, m.sent, m.at, m.tag, m.origin);
   }
 }
 
@@ -316,7 +316,7 @@ std::size_t ShardedBackend::run_control_at(SimTime tc) {
     auto ev = control_.pop();
     set_base_now(ev.time);
     ctx.now = ev.time;
-    observe_begin(observers, ev.id.value, ev.time, control_.size(), ev.tag);
+    observe_begin(observers, ev.id, ev.time, control_.size(), ev.tag);
     if (au != nullptr) {
       au->declare_control_event(ev.tag.kind != nullptr ? ev.tag.kind : "control");
     }

@@ -99,13 +99,13 @@ EventId Simulator::serial_schedule(SimTime at, TaskTag tag, EventQueue::Action a
   const EventId id = queue_.push(at, std::move(action), tag);
   // The scheduling event's claimed shard is the traffic-matrix origin;
   // during setup (or with no auditor) there is none.
-  observe_schedule(observers_, id.value, now_, at, tag, claim_of(auditor_));
+  observe_schedule(observers_, id, now_, at, tag, claim_of(auditor_));
   return id;
 }
 
 bool Simulator::serial_cancel(EventId id) {
   const bool cancelled = queue_.cancel(id);
-  if (cancelled) observe_cancel(observers_, id.value, now_);
+  if (cancelled) observe_cancel(observers_, id, now_);
   return cancelled;
 }
 
@@ -194,7 +194,7 @@ void Simulator::dispatch(EventQueue::Popped& ev) {
   if (observers_.empty()) {
     ev.action();
   } else {
-    observe_begin(observers_, ev.id.value, now_, queue_.size(), ev.tag);
+    observe_begin(observers_, ev.id, now_, queue_.size(), ev.tag);
     ev.action();
     observe_end(observers_, claim_of(auditor_));
   }

@@ -37,11 +37,11 @@ class Recorder final : public Observer {
   explicit Recorder(std::string name = "", std::vector<std::string>* journal = nullptr)
       : name_(std::move(name)), journal_(journal) {}
 
-  void on_schedule(std::uint64_t, SimTime, SimTime, const TaskTag&, ShardId) override {
+  void on_schedule(EventId, SimTime, SimTime, const TaskTag&, ShardId) override {
     ++scheduled;
   }
-  void on_cancel(std::uint64_t, SimTime) override { ++cancelled; }
-  void begin_event(std::uint64_t, SimTime, std::size_t, const TaskTag&) override {
+  void on_cancel(EventId, SimTime) override { ++cancelled; }
+  void begin_event(EventId, SimTime, std::size_t, const TaskTag&) override {
     if (journal_ != nullptr) journal_->push_back("begin " + name_);
   }
   void end_event(ShardId claimed) override {

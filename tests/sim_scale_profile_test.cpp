@@ -121,10 +121,12 @@ TEST(ScaleProfile, SpeedupCurveHitsExactBounds) {
   sim::ScaleProfiler sp;
   const sim::TaskTag tag{"test", "unit"};
   for (std::uint64_t i = 1; i <= 8; ++i) {
-    sp.on_schedule(i, sim::SimTime::zero(), sim::SimTime::zero(), tag, sim::kNoShard);
+    sp.on_schedule(sim::EventId{i, static_cast<std::uint32_t>(i)}, sim::SimTime::zero(),
+                   sim::SimTime::zero(), tag, sim::kNoShard);
   }
   for (std::uint64_t i = 1; i <= 8; ++i) {
-    sp.begin_event(i, sim::SimTime::zero(), 8 - i, tag);
+    sp.begin_event(sim::EventId{i, static_cast<std::uint32_t>(i)}, sim::SimTime::zero(), 8 - i,
+                   tag);
     sp.end_event(static_cast<sim::ShardId>(i));
   }
   EXPECT_EQ(sp.work(), 8u);
@@ -154,11 +156,13 @@ TEST(ScaleProfile, SerialChainCapsSpeedupAtOne) {
   // exactly 1.0 — no amount of hardware parallelizes a chain.
   sim::ScaleProfiler sp;
   const sim::TaskTag tag{"test", "chain"};
-  sp.on_schedule(1, sim::SimTime::zero(), sim::SimTime::zero(), tag, sim::kNoShard);
+  sp.on_schedule(sim::EventId{1, 0}, sim::SimTime::zero(), sim::SimTime::zero(), tag,
+                 sim::kNoShard);
   for (std::uint64_t i = 1; i <= 4; ++i) {
     const auto now = sim::SimTime::nanos(static_cast<std::int64_t>(i));
-    sp.begin_event(i, now, 1, tag);
-    if (i < 4) sp.on_schedule(i + 1, now, now, tag, 1u);  // child of the running event
+    sp.begin_event(sim::EventId{i, 0}, now, 1, tag);
+    // The child of the running event.
+    if (i < 4) sp.on_schedule(sim::EventId{i + 1, 0}, now, now, tag, 1u);
     sp.end_event(1u);
   }
   EXPECT_EQ(sp.work(), 4u);
@@ -177,8 +181,9 @@ TEST(ScaleProfile, QueueDepthHistogramBucketsPowersOfTwo) {
   std::uint64_t id = 0;
   for (const std::size_t d : depths) {
     ++id;
-    sp.on_schedule(id, sim::SimTime::zero(), sim::SimTime::zero(), tag, sim::kNoShard);
-    sp.begin_event(id, sim::SimTime::zero(), d, tag);
+    sp.on_schedule(sim::EventId{id, 0}, sim::SimTime::zero(), sim::SimTime::zero(), tag,
+                   sim::kNoShard);
+    sp.begin_event(sim::EventId{id, 0}, sim::SimTime::zero(), d, tag);
     sp.end_event(sim::kNoShard);
   }
   const auto q = sp.queue_stats();
@@ -231,12 +236,13 @@ TEST(ScaleProfile, MergePoolsRunsAssociatively) {
   auto record = [](std::uint64_t events, sim::ShardId shard, std::int64_t t0_ns) {
     sim::ScaleProfiler sp;
     const sim::TaskTag tag{"test", "merge"};
-    sp.on_schedule(1, sim::SimTime::nanos(t0_ns), sim::SimTime::nanos(t0_ns), tag,
-                   sim::kNoShard);
+    sp.on_schedule(sim::EventId{1, 0}, sim::SimTime::nanos(t0_ns), sim::SimTime::nanos(t0_ns),
+                   tag, sim::kNoShard);
     for (std::uint64_t i = 1; i <= events; ++i) {
       const auto now = sim::SimTime::nanos(t0_ns + static_cast<std::int64_t>(i));
-      sp.begin_event(i, now, events - i, tag);
-      if (i < events) sp.on_schedule(i + 1, now, now, tag, shard);  // causal child
+      sp.begin_event(sim::EventId{i, 0}, now, events - i, tag);
+      // A causal child.
+      if (i < events) sp.on_schedule(sim::EventId{i + 1, 0}, now, now, tag, shard);
       sp.end_event(shard);
     }
     return sp;

@@ -36,21 +36,23 @@ site" contract broke.
 
 Scale reports (bench harness --scale-json, recognised by their "scale"
 key) are compared in SCALE mode, normally against the committed
-SCALE_PROFILE.json (pass it as --baseline). All SCALE_TRACKED fields are
-compared exactly and drift is reported; critical_path_length and
-imbalance_ratio additionally gate — growth beyond --max-regression fails,
-since those two bound the predicted PDES speedup from the causality and
-load-balance side respectively.
+SCALE_PROFILE.json (pass it as --baseline). Every SCALE_TRACKED field must
+match exactly: any difference (or a report or field the baseline lacks)
+fails, naming the field, until the baseline is refreshed with --update.
+critical_path_length and imbalance_ratio also print their growth, labelled
+REGRESSION beyond --max-regression, since those two bound the predicted
+PDES speedup from the causality and load-balance side respectively.
 
 Memory reports (bench harness --mem-json, recognised by their "mem" key)
 are compared in MEM mode, normally against the committed MEM_PROFILE.json
-(pass it as --baseline). All MEM_TRACKED fields are compared exactly and
-drift is reported; live_bytes_per_actor and allocs_per_event additionally
-gate — growth beyond --max-regression fails, since those two are the
-per-unit memory headlines the million-actor refactor budgets against
-(footprint per actor and allocator churn per dispatched event). They are
-model quantities (kind-constant unit sizes x deterministic counts), never
-RSS, so for a fixed invocation they are exactly reproducible anywhere.
+(pass it as --baseline), the same way: every MEM_TRACKED field must match
+exactly, and live_bytes_per_actor and allocs_per_event also print their
+growth, since those two are the per-unit memory headlines the
+million-actor refactor budgets against (footprint per actor and allocator
+churn per dispatched event). They are model quantities (kind-constant unit
+sizes x deterministic counts), never RSS, so for a fixed invocation they
+are exactly reproducible anywhere, and a committed profile that no longer
+matches means the code or the invocation changed the report.
 
 Harness reports carry "sim_events": null when no simulator ran (sim-less
 model benches). Those entries are flagged as ungated rather than silently
@@ -129,7 +131,7 @@ MICRO_ID = "MICRO"
 
 # Scale-report fields compared exactly (they are deterministic functions of
 # (code, seed, invocation), like gated metrics). critical_path_length and
-# imbalance_ratio additionally *gate*: growth beyond --max-regression fails,
+# imbalance_ratio also report their growth against --max-regression,
 # because each one bounds the PDES speedup from a different side (span
 # causality vs load balance) and silent growth would erode the parallel
 # headroom the committed profile promises.
@@ -144,8 +146,8 @@ SCALE_TRACKED = SCALE_GATED + (
 # the per-unit headlines the million-actor refactor budgets against:
 # live_bytes_per_actor (steady footprint per registered actor) and
 # allocs_per_event (allocator churn per dispatched event — the number the
-# arena/SoA work must drive toward zero). Growth beyond --max-regression
-# fails; everything else drifting is reported as a scenario change.
+# arena/SoA work must drive toward zero). They report their growth against
+# --max-regression; like every tracked field, any difference fails.
 MEM_GATED = ("live_bytes_per_actor", "allocs_per_event")
 MEM_TRACKED = MEM_GATED + (
     "work", "runs", "peak_live_bytes", "actor_count", "alloc_count",
@@ -200,30 +202,38 @@ def scale_summary(report: dict) -> dict:
     }
 
 
-def compare_scale(bench_id: str, report: dict, base: dict,
-                  max_regression: float) -> bool:
-    """SCALE mode: exact-compare the tracked fields, gate the gated ones."""
+def compare_profile(bench_id: str, kind: str, cur: dict, base: dict,
+                    tracked: tuple, gated: tuple, max_regression: float) -> bool:
+    """SCALE/MEM mode: every tracked field must equal the baseline's.
+
+    Returns True when one differs or is missing. Gated fields print their
+    growth too, labelled REGRESSION beyond max_regression.
+    """
     failed = False
-    cur = scale_summary(report)
-    for name in SCALE_TRACKED:
+    for name in tracked:
         value, expected = cur.get(name), base.get(name)
         if expected is None:
-            print(f"{bench_id}: scale.{name}: not in baseline — run with "
-                  f"--update to adopt it")
+            print(f"{bench_id}: {kind}.{name}: not in baseline CHANGED — "
+                  f"refresh the baseline with --update")
+            failed = True
             continue
-        if name in SCALE_GATED:
+        if name in gated:
             growth = ((value - expected) / expected if expected else
                       (0.0 if not value else float("inf")))
-            verdict = "REGRESSION" if growth > max_regression else "ok"
-            print(f"{bench_id}: scale.{name}: {value!r} vs baseline "
+            verdict = ("REGRESSION" if growth > max_regression else
+                       "ok" if value == expected else "CHANGED")
+            print(f"{bench_id}: {kind}.{name}: {value!r} vs baseline "
                   f"{expected!r} ({growth:+.1%}) {verdict}")
-            if verdict == "REGRESSION":
-                failed = True
         elif value != expected:
-            print(f"{bench_id}: scale.{name}: {value!r} vs baseline "
-                  f"{expected!r} — drifted (scenario change, not gated)")
+            print(f"{bench_id}: {kind}.{name}: {value!r} vs baseline "
+                  f"{expected!r} CHANGED")
         else:
-            print(f"{bench_id}: scale.{name}: {value!r} ok")
+            print(f"{bench_id}: {kind}.{name}: {value!r} ok")
+        if value != expected:
+            print(f"{bench_id}:   {kind}.{name} must match the committed "
+                  f"profile exactly — refresh it with --update after an "
+                  f"intended change")
+            failed = True
     return failed
 
 
@@ -241,33 +251,6 @@ def mem_summary(report: dict) -> dict:
         "allocs_per_event": lb["allocs_per_event"],
         "sites": len(m.get("sites", [])),
     }
-
-
-def compare_mem(bench_id: str, report: dict, base: dict,
-                max_regression: float) -> bool:
-    """MEM mode: exact-compare the tracked fields, gate the gated ones."""
-    failed = False
-    cur = mem_summary(report)
-    for name in MEM_TRACKED:
-        value, expected = cur.get(name), base.get(name)
-        if expected is None:
-            print(f"{bench_id}: mem.{name}: not in baseline — run with "
-                  f"--update to adopt it")
-            continue
-        if name in MEM_GATED:
-            growth = ((value - expected) / expected if expected else
-                      (0.0 if not value else float("inf")))
-            verdict = "REGRESSION" if growth > max_regression else "ok"
-            print(f"{bench_id}: mem.{name}: {value!r} vs baseline "
-                  f"{expected!r} ({growth:+.1%}) {verdict}")
-            if verdict == "REGRESSION":
-                failed = True
-        elif value != expected:
-            print(f"{bench_id}: mem.{name}: {value!r} vs baseline "
-                  f"{expected!r} — drifted (scenario change, not gated)")
-        else:
-            print(f"{bench_id}: mem.{name}: {value!r} ok")
-    return failed
 
 
 def compare_exec(bench_id: str, report: dict,
@@ -492,17 +475,22 @@ def main() -> int:
                                    args.max_barrier_fraction)
             continue
         base = baseline.get(bench_id)
+        profile = "scale" if "scale" in report else "mem" if "mem" in report else None
         if base is None:
             print(f"{bench_id}: not in baseline — run with --update to adopt it")
+            # A committed profile covers every report it is compared with.
+            failed |= profile is not None
             continue
         if bench_id == MICRO_ID:
             failed |= compare_micro(report, base, args.max_regression)
             continue
-        if "scale" in report:
-            failed |= compare_scale(bench_id, report, base, args.max_regression)
+        if profile == "scale":
+            failed |= compare_profile(bench_id, profile, scale_summary(report), base,
+                                      SCALE_TRACKED, SCALE_GATED, args.max_regression)
             continue
-        if "mem" in report:
-            failed |= compare_mem(bench_id, report, base, args.max_regression)
+        if profile == "mem":
+            failed |= compare_profile(bench_id, profile, mem_summary(report), base,
+                                      MEM_TRACKED, MEM_GATED, args.max_regression)
             continue
         cur_s, base_s = report["wall_seconds"], base["wall_seconds"]
         if max(cur_s, base_s) < args.min_seconds:
@@ -553,8 +541,9 @@ def main() -> int:
 
     if failed:
         print(f"bench_compare: wall time grew (or micro throughput fell) "
-              f"more than {args.max_regression:.0%}, or a gated metric "
-              f"drifted from {args.baseline}", file=sys.stderr)
+              f"more than {args.max_regression:.0%}, a gated metric "
+              f"drifted, or a scale/memory profile differs from "
+              f"{args.baseline}", file=sys.stderr)
         return 1
     return 0
 
