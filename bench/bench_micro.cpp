@@ -37,13 +37,19 @@ std::int64_t next_delay(std::uint64_t& x) {
   return static_cast<std::int64_t>(x >> 44);
 }
 
-// Steady state at a fixed depth (the X1 capture world holds 5632 pending
-// events): each item pops the earliest event and schedules a successor.
-void BM_EventQueueHold(benchmark::State& state) {
+// Steady state at a fixed depth: each item pops the earliest event and
+// schedules a successor. The X1 capture world holds 5632 pending events,
+// which the queue keeps in calendar buckets; 64 is a shallow queue
+// (aimd-middlebox, a transit AS's queue under the sharded backend), kept as
+// one heap.
+// With `far_event`, one more event sits at SimTime::max() throughout: an
+// outlier that must not widen the calendar's buckets.
+void event_queue_hold(benchmark::State& state, bool far_event) {
   const auto depth = static_cast<std::size_t>(state.range(0));
   sim::EventQueue q;
   std::uint64_t x = depth;
   for (std::size_t i = 0; i < depth; ++i) q.push(sim::SimTime::nanos(next_delay(x)), [] {});
+  if (far_event) q.push(sim::SimTime::max(), [] {});
   for (auto _ : state) {
     auto ev = q.pop();
     benchmark::DoNotOptimize(ev.time);
@@ -51,7 +57,12 @@ void BM_EventQueueHold(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_EventQueueHold)->Arg(5632);
+
+void BM_EventQueueHold(benchmark::State& state) { event_queue_hold(state, false); }
+BENCHMARK(BM_EventQueueHold)->Arg(64)->Arg(5632);
+
+void BM_EventQueueHoldFarEvent(benchmark::State& state) { event_queue_hold(state, true); }
+BENCHMARK(BM_EventQueueHoldFarEvent)->Arg(5632);
 
 // AimdFlow::arm_timer's pattern beside `depth` other pending events: each
 // item dispatches one event, schedules its successor, cancels the pending

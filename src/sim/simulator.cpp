@@ -85,6 +85,10 @@ void Simulator::register_lookahead(ShardId a, ShardId b, Duration latency) {
 
 // ------------------------------------------------------ scheduling surface --
 
+void Simulator::throw_negative_delay() {
+  throw std::invalid_argument("schedule: negative delay (the time would be in the past)");
+}
+
 EventId Simulator::schedule_at(SimTime at, EventQueue::Action action) {
   if (at < now()) throw std::invalid_argument("schedule_at: time is in the past");
   return backend_->schedule(at, TaskTag{}, std::move(action));

@@ -109,14 +109,16 @@ class Simulator {
 
   // --- scheduling -----------------------------------------------------------
 
-  /// Schedules `action` to run `delay` after the current time.
+  /// Schedules `action` to run `delay` after the current time. A negative
+  /// delay would schedule into the past: it throws std::invalid_argument,
+  /// as schedule_at() does for a past time.
   EventId schedule(Duration delay, EventQueue::Action action) {
-    return backend_->schedule(now() + delay, TaskTag{}, std::move(action));
+    return backend_->schedule(after(delay), TaskTag{}, std::move(action));
   }
 
   /// Tagged variant: the tag labels the event for the loop profiler.
   EventId schedule(Duration delay, TaskTag tag, EventQueue::Action action) {
-    return backend_->schedule(now() + delay, tag, std::move(action));
+    return backend_->schedule(after(delay), tag, std::move(action));
   }
 
   /// Schedules into `owner`'s ordering domain (see
@@ -125,10 +127,10 @@ class Simulator {
   /// another AS, probe injection at a specific AS) under the sharded one.
   EventId schedule_for(ShardId owner, Duration delay, TaskTag tag,
                        EventQueue::Action action) {
-    return backend_->schedule_for(owner, now() + delay, tag, std::move(action));
+    return backend_->schedule_for(owner, after(delay), tag, std::move(action));
   }
   EventId schedule_for(ShardId owner, Duration delay, EventQueue::Action action) {
-    return backend_->schedule_for(owner, now() + delay, TaskTag{}, std::move(action));
+    return backend_->schedule_for(owner, after(delay), TaskTag{}, std::move(action));
   }
 
   /// Schedules at an absolute time, which must not be in the past.
@@ -237,6 +239,12 @@ class Simulator {
   friend class ExecutionBackend;
   friend class SerialBackend;
 
+  /// now() + delay, for the relative schedulers; a negative delay throws.
+  SimTime after(Duration delay) const {
+    if (delay < Duration::zero()) throw_negative_delay();
+    return now() + delay;
+  }
+  [[noreturn]] static void throw_negative_delay();
   void run_repeating(Duration period, TaskTag tag,
                      const std::shared_ptr<std::function<bool()>>& action);
   /// Swaps the typed observer `old` for `now` in the list, keeping its

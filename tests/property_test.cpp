@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -245,6 +247,181 @@ TEST_P(EventQueueFuzz, IdsAreBasePlusSeqPlusOne) {
   EXPECT_FALSE(q.cancel(sim::EventId{}));
   EXPECT_FALSE(q.cancel(sim::EventId{base}));
   EXPECT_FALSE(q.cancel(sim::EventId{base + 3001}));
+}
+
+// Wide spans. The mixes above keep every pending time within 50 ns, and
+// their queues stay shallow, so they never build a calendar. Here each round
+// fills the queue far past EventQueue::kDeep (a spill, then a calendar at the
+// first pop), churns at that depth through several rebuilds, and drains it
+// below kShallow (back to one plain heap). A round's times centre on its own
+// scale, from 1 ns to an hour, with bursts of equal times, times equal to a
+// recent push's, SimTime::max(), the earliest representable time, negative
+// times and times before the last pop. Far timers are cancelled and re-armed
+// at every pop, as AimdFlow's retransmission timers are, and cancels hit
+// live, fired, stale and already-cancelled ids (and the earliest event, which
+// a spill sets aside for next_time()). After every operation the
+// queue must agree with the set of live (time, push order) pairs, and every
+// live event must hold a slot of its own: a slot freed twice, or freed while
+// its event is pending, would be handed out again while still held.
+TEST_P(EventQueueFuzz, WideSpanMatchesOracle) {
+  constexpr std::int64_t kLatest = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kEarliest = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kHour = 3'600'000'000'000;
+  constexpr std::int64_t kScales[] = {1, 30, 1'000, 1'000'000, 1'000'000'000, kHour};
+  constexpr std::size_t kTimers = 8;
+  static_assert(sim::EventQueue::kDeep < 1500 && sim::EventQueue::kShallow > 40);
+
+  sim::Rng rng(GetParam());
+  sim::EventQueue q;
+  std::vector<sim::EventId> ids;  // index = push order
+  std::vector<std::int64_t> times;
+  std::vector<bool> cancelled;
+  std::set<std::pair<std::int64_t, std::size_t>> live;
+  std::map<std::uint32_t, std::size_t> holder;  // slot -> the live event in it
+  std::int64_t now = 0;
+  int live_cancels = 0, fired_cancels = 0, stale_cancels = 0, double_cancels = 0;
+  std::size_t pops = 0;
+
+  const auto add = [](std::int64_t t, std::int64_t d) {  // saturating t + d
+    if (d > 0 && t > kLatest - d) return kLatest;
+    if (d < 0 && t < kEarliest - d) return kEarliest;
+    return t + d;
+  };
+  const auto check = [&] {
+    ASSERT_EQ(q.size(), live.size());
+    ASSERT_EQ(q.empty(), live.empty());
+    if (!live.empty()) {
+      ASSERT_EQ(q.next_time().as_nanos(), live.begin()->first);
+    }
+  };
+  const auto push = [&](std::int64_t t) {
+    const std::size_t k = ids.size();
+    const sim::EventId id = q.push(sim::SimTime::nanos(t), [] {});
+    EXPECT_EQ(id.value, k + 1);
+    const auto [it, fresh] = holder.emplace(id.slot, k);
+    EXPECT_TRUE(fresh) << "push " << k << " got slot " << id.slot << ", held by push "
+                       << it->second;
+    ids.push_back(id);
+    times.push_back(t);
+    cancelled.push_back(false);
+    live.emplace(t, k);
+    return k;
+  };
+  const auto cancel = [&](std::size_t k) {
+    const bool was_live = live.erase({times[k], k}) != 0;
+    const auto held = holder.find(ids[k].slot);
+    if (was_live) {
+      ++live_cancels;
+    } else if (held != holder.end() && held->second != k) {
+      ++stale_cancels;
+    } else if (cancelled[k]) {
+      ++double_cancels;
+    } else {
+      ++fired_cancels;
+    }
+    EXPECT_EQ(q.cancel(ids[k]), was_live) << "push " << k;
+    if (was_live) {
+      holder.erase(held);
+      cancelled[k] = true;
+    }
+  };
+  const auto pop = [&] {
+    const auto want = *live.begin();
+    const auto p = q.pop();
+    ASSERT_EQ(p.time.as_nanos(), want.first);
+    ASSERT_EQ(p.id, ids[want.second]) << "push " << want.second;
+    live.erase(live.begin());
+    holder.erase(p.id.slot);
+    now = want.first;
+    ++pops;
+  };
+  // A time around `now` at `scale`, or one of the edge cases.
+  const auto draw = [&](std::int64_t scale) -> std::int64_t {
+    const double r = rng.uniform();
+    if (r < 0.003) return kLatest;
+    if (r < 0.0035) return kEarliest;
+    if (r < 0.02) return add(now, rng.uniform_int(0, kHour));
+    if (r < 0.07) return add(now, -rng.uniform_int(0, scale));
+    if (r < 0.17 && !times.empty()) {
+      const auto back = std::min<std::int64_t>(64, static_cast<std::int64_t>(times.size()) - 1);
+      return times[times.size() - 1 - static_cast<std::size_t>(rng.uniform_int(0, back))];
+    }
+    return add(now, rng.uniform_int(0, scale));
+  };
+  const auto push_some = [&](std::int64_t scale) {
+    const std::int64_t t = draw(scale);
+    const std::int64_t n = rng.bernoulli(0.1) ? rng.uniform_int(2, 8) : 1;  // a burst
+    for (std::int64_t i = 0; i < n; ++i) push(t);
+  };
+  const auto cancel_some = [&] {
+    if (ids.empty()) return;
+    const auto n = static_cast<std::int64_t>(ids.size());
+    const std::int64_t k = rng.bernoulli(0.5) ? rng.uniform_int(std::max<std::int64_t>(0, n - 200), n - 1)
+                                              : rng.uniform_int(0, n - 1);
+    cancel(static_cast<std::size_t>(k));
+  };
+
+  std::vector<std::size_t> timers;
+  for (int round = 0; round < 8; ++round) {
+    const std::int64_t scale =
+        kScales[(static_cast<std::size_t>(round) + GetParam()) % std::size(kScales)];
+    if (live.empty()) now = rng.uniform_int(-scale, scale);
+    // Fill, in some rounds popping now and then (so a spilled heap builds
+    // its calendar early), in others not at all.
+    const auto depth = static_cast<std::size_t>(rng.uniform_int(1500, 3000));
+    const double pop_share = rng.bernoulli(0.5) ? 0.05 : 0.0;
+    while (live.size() < depth) {
+      const double r = rng.uniform();
+      if (r < pop_share && !live.empty()) {
+        pop();
+      } else if (r < pop_share + 0.02 && !live.empty()) {
+        cancel(live.begin()->second);  // the earliest, set aside by a spill
+      } else {
+        push_some(scale);
+      }
+      check();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    // Churn at depth: every pop schedules a successor and re-arms a timer.
+    timers.clear();
+    for (std::size_t j = 0; j < kTimers; ++j) timers.push_back(push(add(now, 1000 * scale)));
+    for (int op = 0; op < 8000; ++op) {
+      const double r = rng.uniform();
+      if (r < 0.55) {
+        pop();
+        push_some(scale);
+        std::size_t& timer = timers[pops % kTimers];
+        cancel(timer);
+        timer = push(add(now, 1000 * scale));
+      } else if (r < 0.8) {
+        push_some(scale);
+      } else {
+        cancel_some();
+      }
+      check();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    // Drain below kShallow, or to empty (back to a plain heap).
+    const auto rest = static_cast<std::size_t>(rng.bernoulli(0.5) ? 0 : rng.uniform_int(1, 40));
+    while (live.size() > rest) {
+      if (rng.bernoulli(0.1)) {
+        cancel_some();
+      } else {
+        pop();
+      }
+      check();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  while (!live.empty()) {
+    pop();
+    check();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(live_cancels, 0);
+  EXPECT_GT(fired_cancels, 0);
+  EXPECT_GT(stale_cancels, 0);
+  EXPECT_GT(double_cancels, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueFuzz, ::testing::Values(11, 22, 33, 44));

@@ -55,6 +55,26 @@ TEST(Simulator, ScheduleAtRejectsPast) {
   EXPECT_THROW(sim.schedule_at(SimTime::seconds(1), [] {}), std::invalid_argument);
 }
 
+TEST(Simulator, RelativeScheduleRejectsNegativeDelay) {
+  // A negative delay would land before now() and run the clock backwards.
+  Simulator sim;
+  sim.schedule(SimTime::seconds(5), [] {});
+  sim.run();
+  const auto past = Duration::nanos(-1);
+  EXPECT_THROW(sim.schedule(past, [] {}), std::invalid_argument);
+  EXPECT_THROW(sim.schedule(past, TaskTag{"test", "past"}, [] {}), std::invalid_argument);
+  EXPECT_THROW(sim.schedule_for(1, past, [] {}), std::invalid_argument);
+  EXPECT_THROW(sim.schedule_for(1, past, TaskTag{"test", "past"}, [] {}),
+               std::invalid_argument);
+  EXPECT_EQ(sim.events_pending(), 0u);
+  // A zero delay is now itself, which is allowed.
+  bool fired = false;
+  sim.schedule(Duration::zero(), [&] { fired = true; });
+  sim.run();
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(sim.now(), SimTime::seconds(5));
+}
+
 TEST(Simulator, StopHaltsRun) {
   Simulator sim;
   int fired = 0;
