@@ -155,10 +155,10 @@ BENCHMARK(BM_PacketForwardingLine)->Arg(8)->Arg(32);
 void BM_ObservedForwardingLine(benchmark::State& state) { forwarding_line(state, true); }
 BENCHMARK(BM_ObservedForwardingLine)->Arg(8);
 
-// One packet hop over one link, one packet per item: Link::transmit_from
-// (enqueue, then dequeue onto the wire), the serialize event, the propagate
-// event and the far node's receive, which delivers it locally.
-void BM_LinkHop(benchmark::State& state) {
+// Packet hops over one link, `burst` packets sent at once per iteration:
+// Link::transmit_from, the serialize event, the propagate event and the far
+// node's receive, which delivers each packet locally.
+void link_hops(benchmark::State& state, int burst) {
   sim::Simulator sim;
   net::Network net(sim);
   const net::NodeId a = net.add_node(1);
@@ -168,15 +168,24 @@ void BM_LinkHop(benchmark::State& state) {
   p.dst = net::Address{.provider = 1, .subscriber = 2, .host = 1};
   net.node(b).add_address(p.dst);
   for (auto _ : state) {
-    link.transmit_from(a, p);
+    for (int i = 0; i < burst; ++i) link.transmit_from(a, net::Packet(p));
     benchmark::DoNotOptimize(sim.run());
   }
-  if (net.counters().delivered.value() != static_cast<std::int64_t>(state.iterations())) {
+  const auto sent = static_cast<std::int64_t>(state.iterations()) * burst;
+  if (net.counters().delivered.value() != sent) {
     state.SkipWithError("a hop did not deliver its packet");
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetItemsProcessed(sent);
 }
+
+// One packet at a time: the idle link puts it straight on the wire.
+void BM_LinkHop(benchmark::State& state) { link_hops(state, 1); }
 BENCHMARK(BM_LinkHop);
+
+// Bursts of 8: the first packet goes straight on the wire and the other 7
+// wait in the drop-tail ring, so this row times the enqueue and dequeue.
+void BM_LinkHopQueued(benchmark::State& state) { link_hops(state, 8); }
+BENCHMARK(BM_LinkHopQueued);
 
 void BM_PolicyEval(benchmark::State& state) {
   auto onto = policy::standard_packet_ontology();

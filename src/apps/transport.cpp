@@ -1,40 +1,50 @@
 #include "apps/transport.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
+#include <charconv>
+#include <limits>
+#include <system_error>
 
 namespace tussle::apps {
 namespace {
 
-// Segment tag: "seg:<flow>:<seq>"; ack tag: "ack:<flow>:<cumseq>".
-std::string seg_tag(net::FlowId f, std::uint64_t seq) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "seg:%llu:%llu", static_cast<unsigned long long>(f),
-                static_cast<unsigned long long>(seq));
-  return buf;
-}
+constexpr std::size_t kMaxDigits = std::numeric_limits<std::uint64_t>::digits10 + 1;
 
-bool parse_two(const std::string& tag, const char* prefix, std::uint64_t& a,
-               std::uint64_t& b) {
-  const std::size_t plen = std::string(prefix).size();
-  if (tag.rfind(prefix, 0) != 0) return false;
-  const char* s = tag.c_str() + plen;
-  char* end = nullptr;
-  a = std::strtoull(s, &end, 10);
-  if (!end || *end != ':') return false;
-  b = std::strtoull(end + 1, nullptr, 10);
-  return true;
+/// "<prefix><a>:<b>", for a prefix of four characters.
+std::string make_tag(const char (&prefix)[5], std::uint64_t a, std::uint64_t b) {
+  char buf[4 + kMaxDigits + 1 + kMaxDigits];
+  char* out = std::copy(prefix, prefix + 4, buf);
+  out = std::to_chars(out, out + kMaxDigits, a).ptr;
+  *out++ = ':';
+  out = std::to_chars(out, out + kMaxDigits, b).ptr;
+  return std::string(buf, out);
 }
 
 }  // namespace
+
+std::string segment_tag(net::FlowId flow, std::uint64_t seq) {
+  return make_tag("seg:", flow, seq);
+}
+
+std::string ack_tag(net::FlowId flow, std::uint64_t cum_seq) {
+  return make_tag("ack:", flow, cum_seq);
+}
+
+bool parse_tag(std::string_view tag, std::string_view prefix, std::uint64_t& a,
+               std::uint64_t& b) {
+  if (!tag.starts_with(prefix)) return false;
+  const char* const end = tag.data() + tag.size();
+  const auto [colon, ec] = std::from_chars(tag.data() + prefix.size(), end, a);
+  if (ec != std::errc{} || colon == end || *colon != ':') return false;
+  return std::from_chars(colon + 1, end, b).ec == std::errc{};
+}
 
 FlowSink::FlowSink(net::Network& net, net::NodeId node, net::Address addr,
                    std::shared_ptr<AppMux> mux, net::AppProto proto)
     : net_(&net), node_(node), addr_(addr) {
   mux->set_handler(proto, [this](const net::Packet& p) {
     std::uint64_t flow = 0, seq = 0;
-    if (!parse_two(p.payload_tag, "seg:", flow, seq)) return;
+    if (!parse_tag(p.payload_tag, "seg:", flow, seq)) return;
     auto& next = rcv_next_[flow];
     if (seq == next) {
       ++next;
@@ -48,10 +58,7 @@ FlowSink::FlowSink(net::Network& net, net::NodeId node, net::Address addr,
     ack.dst = p.src;
     ack.proto = net::AppProto::kControl;
     ack.size_bytes = 60;
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "ack:%llu:%llu", static_cast<unsigned long long>(flow),
-                  static_cast<unsigned long long>(next - 1));
-    ack.payload_tag = buf;
+    ack.payload_tag = ack_tag(flow, next - 1);
     net_->node(node_).originate(std::move(ack));
   });
 }
@@ -64,7 +71,7 @@ AimdFlow::AimdFlow(net::Network& net, net::NodeId node, net::Address src, net::A
   if (cfg_.aggressive) cwnd_ = cfg_.aggressive_window;
   src_mux->set_handler(net::AppProto::kControl, [this](const net::Packet& p) {
     std::uint64_t flow = 0, cum = 0;
-    if (!parse_two(p.payload_tag, "ack:", flow, cum)) return;
+    if (!parse_tag(p.payload_tag, "ack:", flow, cum)) return;
     if (flow != id_) return;
     on_ack(cum);
   });
@@ -84,7 +91,7 @@ void AimdFlow::send_segment(std::uint64_t seq) {
   p.proto = proto_;
   p.size_bytes = cfg_.segment_bytes;
   p.flow = id_;
-  p.payload_tag = seg_tag(id_, seq);
+  p.payload_tag = segment_tag(id_, seq);
   net_->node(node_).originate(std::move(p));
 }
 

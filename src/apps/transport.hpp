@@ -10,11 +10,24 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <string_view>
 
 #include "apps/mux.hpp"
 #include "sim/stats.hpp"
 
 namespace tussle::apps {
+
+/// The transport's payload tags: "seg:<flow>:<seq>" on a segment and
+/// "ack:<flow>:<cumulative seq>" on an ack, both numbers in decimal.
+std::string segment_tag(net::FlowId flow, std::uint64_t seq);
+std::string ack_tag(net::FlowId flow, std::uint64_t cum_seq);
+
+/// Reads a tag "<prefix><a>:<b>" into `a` and `b`. False, so the tag is
+/// ignored, when it lacks the prefix or the colon, or when either number is
+/// empty or does not fit 64 bits. Whatever follows `b` is not read.
+bool parse_tag(std::string_view tag, std::string_view prefix, std::uint64_t& a,
+               std::uint64_t& b);
 
 /// Acks segments for every flow arriving at a node. Install once per
 /// receiving mux; it acknowledges cumulatively (Go-Back-N semantics:

@@ -113,7 +113,7 @@ std::uint32_t Link::dir_index_for(NodeId from) const {
   throw std::invalid_argument("node is not an endpoint of this link");
 }
 
-bool Link::transmit_from(NodeId sender, Packet p) {
+bool Link::transmit_from(NodeId sender, Packet&& p) {
   // The egress queue being mutated lives with the sender: transmitting is
   // an action of the sender's shard, whichever shard the link registered
   // under.
@@ -127,6 +127,13 @@ bool Link::transmit_from(NodeId sender, Packet p) {
   }
   const std::uint32_t dir = dir_index_for(sender);
   Direction& d = dirs_[dir];
+  if (!d.transmitting && d.queue->passes_through() && d.queue->empty()) {
+    // The queue would hand the packet straight back: skip the round trip.
+    net_->emit({.kind = PacketEventKind::kEnqueue, .uid = p.uid, .flow = p.flow,
+                .node = sender, .link = id_, .queued = 1});
+    put_on_wire(dir, std::move(p));
+    return true;
+  }
   const std::uint64_t uid = p.uid;
   const FlowId flow = p.flow;
   if (!d.queue->enqueue(std::move(p))) {
@@ -141,16 +148,17 @@ bool Link::transmit_from(NodeId sender, Packet p) {
 }
 
 void Link::start_transmission(std::uint32_t dir) {
-  Direction& d = dirs_[dir];
-  auto p = d.queue->dequeue();
-  if (!p) return;
-  d.transmitting = true;
+  if (auto p = dirs_[dir].queue->dequeue()) put_on_wire(dir, std::move(*p));
+}
+
+void Link::put_on_wire(std::uint32_t dir, Packet&& p) {
+  dirs_[dir].transmitting = true;
   const auto serialization =
-      sim::Duration::seconds(static_cast<double>(p->size_bytes) * 8.0 / bps_);
+      sim::Duration::seconds(static_cast<double>(p.size_bytes) * 8.0 / bps_);
   // The packet waits out its serialization in this domain's wire pool. The
   // event names it by slot: 16 trivially copyable bytes, which
   // std::function keeps inline, so scheduling it allocates nothing.
-  const std::uint32_t slot = net_->wire().put(std::move(*p));
+  const std::uint32_t slot = net_->wire().put(std::move(p));
   auto done = [this, dir, slot] { serialized(dir, slot); };
   static_assert(sizeof(done) <= 16 && std::is_trivially_copyable_v<decltype(done)>);
   net_->simulator().schedule(serialization, sim::TaskTag{"net.link", "serialize"}, done);
@@ -185,7 +193,7 @@ void Link::serialized(std::uint32_t dir, std::uint32_t slot) {
   if (!d.queue->empty()) start_transmission(dir);
 }
 
-void Link::arrive(std::uint32_t dir, Packet p) {
+void Link::arrive(std::uint32_t dir, Packet&& p) {
   net_->wire().land();
   const Direction& d = dirs_[dir];
   if (!up_) {

@@ -34,8 +34,11 @@ class Link {
   NodeId peer_of(NodeId n) const;
 
   /// Queues a packet for transmission from `sender` toward the other end.
-  /// Returns false if the packet was dropped (queue full or link down).
-  bool transmit_from(NodeId sender, Packet p);
+  /// Returns false if the packet was dropped (queue full or link down). An
+  /// idle direction whose queue passes packets through (see
+  /// Queue::passes_through) puts the packet straight on the wire, with the
+  /// same enqueue record as the round trip through the empty queue.
+  bool transmit_from(NodeId sender, Packet&& p);
 
   /// Failure injection: a down link silently discards traffic. Audited:
   /// same-AS links belong to that AS's shard, cross-AS links are shared
@@ -75,15 +78,17 @@ class Link {
 
   std::uint32_t dir_index_for(NodeId from) const;
   const Direction& dir_for(NodeId from) const { return dirs_[dir_index_for(from)]; }
-  /// Dequeues direction `dir`'s next packet onto the wire and schedules the
-  /// end of its serialization.
+  /// Dequeues direction `dir`'s next packet onto the wire.
   void start_transmission(std::uint32_t dir);
+  /// Puts `p` on direction `dir`'s wire: parks it in the wire pool and
+  /// schedules the end of its serialization.
+  void put_on_wire(std::uint32_t dir, Packet&& p);
   /// Serialization of the packet in wire slot `slot` ended: schedules its
   /// propagation and starts the next packet.
   void serialized(std::uint32_t dir, std::uint32_t slot);
   /// Propagation ended at direction `dir`'s far end: the packet lands, and
   /// is dropped if the link went down meanwhile, else received.
-  void arrive(std::uint32_t dir, Packet p);
+  void arrive(std::uint32_t dir, Packet&& p);
 
   Network* net_;
   LinkId id_ = 0;

@@ -146,7 +146,7 @@ bool Node::run_filters(const Packet& p, FilterDecision& out, bool& disclosed,
   return false;
 }
 
-void Node::receive(Packet p, IfIndex /*iface*/) {
+void Node::receive(Packet&& p, IfIndex /*iface*/) {
   // A packet arriving is this node's shard running: claim the event.
   if (auto* au = net_->auditor()) au->claim("net.node", id_, as_);
   sim::SpanTracer* sp = net_->spans();
@@ -214,7 +214,8 @@ void Node::receive(Packet p, IfIndex /*iface*/) {
   p.ttl -= 1;
   net_->emit({.kind = PacketEventKind::kForward, .uid = p.uid, .flow = p.flow, .node = id_,
               .ttl = p.ttl});
-  forward(std::move(p));
+  // deliver_local() above saw this destination: one ownership scan a hop.
+  route(std::move(p));
 }
 
 bool Node::deliver_local(Packet& p) {
@@ -238,11 +239,14 @@ bool Node::deliver_local(Packet& p) {
   return true;
 }
 
-void Node::forward(Packet p) {
-  // Local delivery first: a decapsulated or originated packet may already be
-  // at its destination, and the FIB's default route must not bounce it away.
-  if (deliver_local(p)) return;
+void Node::forward(Packet&& p) {
+  // Local delivery first: a decapsulated, mirrored or originated packet may
+  // already be at its destination, and the FIB's default route must not
+  // bounce it away.
+  if (!deliver_local(p)) route(std::move(p));
+}
 
+void Node::route(Packet&& p) {
   if (auto* mp = net_->mem_profiler()) {
     // One FIB lookup chases node -> fib -> prefix bucket -> entry ->
     // interface: the pointer-chase the SoA/arena refactor would flatten.

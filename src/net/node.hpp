@@ -97,7 +97,7 @@ class Node {
   void originate(Packet p);
 
   /// Called by the attached link when a packet arrives on `iface`.
-  void receive(Packet p, IfIndex iface);
+  void receive(Packet&& p, IfIndex iface);
 
   // --- wiring (used by Network) -------------------------------------------
   IfIndex attach_interface(std::uint32_t link_id) {
@@ -115,7 +115,11 @@ class Node {
   /// on if it is a tunnel packet, else handed to the local handler and the
   /// network's delivery observers. False when the packet is not for us.
   bool deliver_local(Packet& p);
-  void forward(Packet p);
+  /// Delivers `p` here if it is addressed to this node, else routes it.
+  void forward(Packet&& p);
+  /// Hands `p` to the link toward its next hop, or drops it when there is
+  /// none. The caller has already ruled out local delivery.
+  void route(Packet&& p);
   bool run_filters(const Packet& p, FilterDecision& out, bool& disclosed,
                    std::vector<Address>* taps, sim::SpanTracer* spans,
                    sim::SimTime now) const;

@@ -38,7 +38,10 @@ std::optional<Packet> DropTailQueue::dequeue() {
 
 PriorityQueue::PriorityQueue(std::size_t per_class_capacity)
     : classes_{DropTailQueue(per_class_capacity), DropTailQueue(per_class_capacity),
-               DropTailQueue(per_class_capacity)} {}
+               DropTailQueue(per_class_capacity)} {
+  // Empty, every class has room, and the lone packet is the one served.
+  passes_through_ = per_class_capacity > 0;
+}
 
 bool PriorityQueue::enqueue(Packet p) {
   const auto cls = static_cast<std::size_t>(p.tos);

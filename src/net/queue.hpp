@@ -31,8 +31,16 @@ class Queue {
 
   std::uint64_t drops() const noexcept { return drops_; }
 
+  /// True when this queue, empty, would hand an enqueued packet straight
+  /// back on the next dequeue and change nothing else. An idle link then
+  /// puts the packet on the wire without the round trip. A zero-capacity
+  /// queue must drop it instead, and a DRR dequeue spends deficit, so
+  /// neither passes packets through.
+  bool passes_through() const noexcept { return passes_through_; }
+
  protected:
   std::uint64_t drops_ = 0;
+  bool passes_through_ = false;
 };
 
 /// Classic drop-tail FIFO bounded by packet count, kept in a ring. The ring
@@ -41,7 +49,9 @@ class Queue {
 /// and dequeues allocate nothing.
 class DropTailQueue final : public Queue {
  public:
-  explicit DropTailQueue(std::size_t capacity_packets) : capacity_(capacity_packets) {}
+  explicit DropTailQueue(std::size_t capacity_packets) : capacity_(capacity_packets) {
+    passes_through_ = capacity_ > 0;
+  }
 
   bool enqueue(Packet p) override;
   std::optional<Packet> dequeue() override;

@@ -53,7 +53,7 @@ void EventQueue::release_slot(std::uint32_t index) noexcept {
   free_head_ = index;
 }
 
-EventId EventQueue::push(SimTime at, Action action, TaskTag tag) {
+EventId EventQueue::push(SimTime at, Action&& action, TaskTag tag) {
   if (next_seq_ == kMaxSeq) {
     throw std::overflow_error("EventQueue: 2^40 sequence numbers used up");
   }

@@ -103,10 +103,11 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Schedules `action` to fire at absolute time `at`. `tag` labels the
-  /// event for the observers and comes back from pop(). Throws
-  /// std::overflow_error past kMaxSeq pushes or kMaxSlots pending events.
-  EventId push(SimTime at, Action action, TaskTag tag = {});
+  /// Schedules `action` to fire at absolute time `at`, moving it into its
+  /// slot. `tag` labels the event for the observers and comes back from
+  /// pop(). Throws std::overflow_error past kMaxSeq pushes or kMaxSlots
+  /// pending events, leaving `action` as it was.
+  EventId push(SimTime at, Action&& action, TaskTag tag = {});
 
   /// Offsets every EventId this queue hands out by `base` (ids become
   /// base + seq + 1). The sharded execution backend runs one queue per

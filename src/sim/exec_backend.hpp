@@ -88,15 +88,16 @@ class ExecutionBackend {
 
   /// Schedules `action` at absolute time `at` in the calling context's
   /// ordering domain (current owner under the sharded backend; the global
-  /// queue serially).
-  virtual EventId schedule(SimTime at, TaskTag tag, EventQueue::Action action) = 0;
+  /// queue serially). Both schedulers take the action by rvalue reference:
+  /// it moves once, into its queue slot or outbox message.
+  virtual EventId schedule(SimTime at, TaskTag tag, EventQueue::Action&& action) = 0;
 
   /// Schedules into `owner`'s ordering domain. The serial backend ignores
   /// the owner (one global order); the sharded backend routes to the
   /// owner's queue — through its barrier inbox when called from another
   /// owner's event, so per-owner event order is shard-count-independent.
   virtual EventId schedule_for(ShardId owner, SimTime at, TaskTag tag,
-                               EventQueue::Action action) = 0;
+                               EventQueue::Action&& action) = 0;
 
   /// Cancels a pending event. Backends may refuse cross-owner
   /// cancellation (returns false) — see the concrete backend's contract.
@@ -171,9 +172,9 @@ class SerialBackend final : public ExecutionBackend {
   explicit SerialBackend(Simulator& sim) noexcept : ExecutionBackend(sim) {}
 
   const char* name() const noexcept override { return "serial"; }
-  EventId schedule(SimTime at, TaskTag tag, EventQueue::Action action) override;
+  EventId schedule(SimTime at, TaskTag tag, EventQueue::Action&& action) override;
   EventId schedule_for(ShardId owner, SimTime at, TaskTag tag,
-                       EventQueue::Action action) override;
+                       EventQueue::Action&& action) override;
   bool cancel(EventId id) override;
   std::size_t pending() const override;
   std::size_t run(SimTime horizon) override;

@@ -27,7 +27,7 @@ class CtxGuard {
 /// A worker event's push into its own owner's queue, recorded by the
 /// owner's lanes with the lane auditor's claim as origin.
 EventId push_owned(ShardedBackend::Lp& lp, SimTime now, SimTime at, TaskTag tag,
-                   EventQueue::Action action) {
+                   EventQueue::Action&& action) {
   const EventId id = lp.queue.push(at, std::move(action), tag);
   observe_schedule(lp.observers, id, now, at, tag, claim_of(lp.audit));
   return id;
@@ -96,13 +96,13 @@ ShardedBackend::Lp& ShardedBackend::lp_for(ShardId owner) {
 // ------------------------------------------------------------- scheduling --
 
 EventId ShardedBackend::push_base(EventQueue& queue, SimTime at, TaskTag tag,
-                                  EventQueue::Action action) {
+                                  EventQueue::Action&& action) {
   const EventId id = queue.push(at, std::move(action), tag);
   observe_schedule(sim().observers(), id, base_now(), at, tag, claim_of(auditor_hook()));
   return id;
 }
 
-EventId ShardedBackend::schedule(SimTime at, TaskTag tag, EventQueue::Action action) {
+EventId ShardedBackend::schedule(SimTime at, TaskTag tag, EventQueue::Action&& action) {
   ExecCtx* c = current_exec_ctx();
   if (c != nullptr && c->sim == &sim() && c->lp != nullptr) {
     // A worker event scheduling for its own owner: plain per-owner push.
@@ -114,7 +114,7 @@ EventId ShardedBackend::schedule(SimTime at, TaskTag tag, EventQueue::Action act
 }
 
 EventId ShardedBackend::schedule_for(ShardId owner, SimTime at, TaskTag tag,
-                                     EventQueue::Action action) {
+                                     EventQueue::Action&& action) {
   ExecCtx* c = current_exec_ctx();
   const bool worker = c != nullptr && c->sim == &sim() && c->lp != nullptr;
   if (!worker) {

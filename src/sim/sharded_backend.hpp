@@ -77,9 +77,9 @@ class ShardedBackend final : public ExecutionBackend {
 
   const char* name() const noexcept override { return "sharded"; }
 
-  EventId schedule(SimTime at, TaskTag tag, EventQueue::Action action) override;
+  EventId schedule(SimTime at, TaskTag tag, EventQueue::Action&& action) override;
   EventId schedule_for(ShardId owner, SimTime at, TaskTag tag,
-                       EventQueue::Action action) override;
+                       EventQueue::Action&& action) override;
 
   /// Same-owner and coordinator-context cancellation only: a worker may
   /// cancel its own owner's pending events; setup/control code may cancel
@@ -157,7 +157,7 @@ class ShardedBackend final : public ExecutionBackend {
   Lp& lp_for(ShardId owner);  ///< creates pre-run; throws for unknown owners mid-run
   /// Pushes from setup or control context, recorded by the simulator's own
   /// observers with the base auditor's claim as origin.
-  EventId push_base(EventQueue& queue, SimTime at, TaskTag tag, EventQueue::Action action);
+  EventId push_base(EventQueue& queue, SimTime at, TaskTag tag, EventQueue::Action&& action);
   /// Dispatches lp's events inside the window; returns how many ran. `xl`
   /// is the calling worker's exec-profiler lane (nullptr when detached).
   std::size_t process_lp(Lp& lp, SimTime window_end, ExecProfiler::WorkerLane* xl);

@@ -51,12 +51,12 @@ void ExecutionBackend::heartbeat_tick(SimTime sim_now, std::size_t executed_tota
   sim_->emit_heartbeat(sim_now, executed_total, queue_depth);
 }
 
-EventId SerialBackend::schedule(SimTime at, TaskTag tag, EventQueue::Action action) {
+EventId SerialBackend::schedule(SimTime at, TaskTag tag, EventQueue::Action&& action) {
   return sim().serial_schedule(at, tag, std::move(action));
 }
 
 EventId SerialBackend::schedule_for(ShardId owner, SimTime at, TaskTag tag,
-                                    EventQueue::Action action) {
+                                    EventQueue::Action&& action) {
   (void)owner;  // one global order: owner routing is a sharded-backend concern
   return sim().serial_schedule(at, tag, std::move(action));
 }
@@ -99,7 +99,7 @@ EventId Simulator::schedule_at(SimTime at, TaskTag tag, EventQueue::Action actio
   return backend_->schedule(at, tag, std::move(action));
 }
 
-EventId Simulator::serial_schedule(SimTime at, TaskTag tag, EventQueue::Action action) {
+EventId Simulator::serial_schedule(SimTime at, TaskTag tag, EventQueue::Action&& action) {
   const EventId id = queue_.push(at, std::move(action), tag);
   // The scheduling event's claimed shard is the traffic-matrix origin;
   // during setup (or with no auditor) there is none.

@@ -108,6 +108,10 @@ class Simulator {
   void register_lookahead(ShardId a, ShardId b, Duration latency);
 
   // --- scheduling -----------------------------------------------------------
+  //
+  // These take the action by value, so a caller may pass a lambda or a
+  // std::function. Below them it travels by rvalue reference, through the
+  // backend to the event queue, and moves once: into its queue slot.
 
   /// Schedules `action` to run `delay` after the current time. A negative
   /// delay would schedule into the past: it throws std::invalid_argument,
@@ -258,7 +262,7 @@ class Simulator {
                       std::size_t queue_depth);
 
   // The serial dispatch loop; SerialBackend forwards here.
-  EventId serial_schedule(SimTime at, TaskTag tag, EventQueue::Action action);
+  EventId serial_schedule(SimTime at, TaskTag tag, EventQueue::Action&& action);
   bool serial_cancel(EventId id);
   std::size_t serial_run(SimTime horizon);
   bool serial_step();

@@ -1,5 +1,8 @@
 #include "apps/transport.hpp"
 
+#include <cstdint>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "net/topology.hpp"
@@ -157,6 +160,31 @@ TEST(AimdFlow, AimdWindowRespondsToCongestion) {
   ASSERT_TRUE(flow.finished());
   // The final window must be far below the unchecked slow-start trajectory.
   EXPECT_LT(flow.final_cwnd(), 100.0);
+}
+
+TEST(TransportTag, ExactAtBothEndsOfTheSequenceSpace) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(segment_tag(5, 0), "seg:5:0");
+  EXPECT_EQ(segment_tag(5, kMax), "seg:5:18446744073709551615");
+  EXPECT_EQ(ack_tag(16, 0), "ack:16:0");
+  EXPECT_EQ(ack_tag(kMax, kMax), "ack:18446744073709551615:18446744073709551615");
+  std::uint64_t flow = 0;
+  std::uint64_t seq = 0;
+  ASSERT_TRUE(parse_tag(segment_tag(kMax, kMax), "seg:", flow, seq));
+  EXPECT_EQ(flow, kMax);
+  EXPECT_EQ(seq, kMax);
+  ASSERT_TRUE(parse_tag(ack_tag(16, 0), "ack:", flow, seq));
+  EXPECT_EQ(flow, 16u);
+  EXPECT_EQ(seq, 0u);
+}
+
+TEST(TransportTag, MalformedTagsAreIgnored) {
+  for (const char* tag : {"seg:5", "seg:", "seg:57", "seg::5", "seg:5:", "seg:x:1", "seg:5:x",
+                          "seg5:1", "ack:5:1", "", "seg:18446744073709551616:1"}) {
+    std::uint64_t flow = 0;
+    std::uint64_t seq = 0;
+    EXPECT_FALSE(parse_tag(tag, "seg:", flow, seq)) << '"' << tag << '"';
+  }
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 // target. It pins the hop's cost contract on the serial backend: once a
 // link's queue, the wire pool and the event queue have grown to a burst's
 // peak, forwarding the same burst again (enqueue, serialize, propagate,
-// receive, deliver) makes no heap allocation.
+// receive, deliver) makes no heap allocation. And a link that only ever
+// finds itself idle passes every packet straight to the wire, so its queue
+// never allocates a ring.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -111,6 +113,45 @@ TEST(NetHopAlloc, DropTailHopsAllocateNothingOnceWarm) {
 
 TEST(NetHopAlloc, PriorityHopsAllocateNothingOnceWarm) {
   expect_allocation_free_second_burst(QueueKind::kPriority);
+}
+
+TEST(NetHopAlloc, PassThroughLinkNeverAllocatesARing) {
+  // a reaches b over link 0 and c over link 1. Both phases send the same
+  // packets one at a time, 1 ms apart, each finding its link idle. The
+  // first phase warms the wire pool and the event queue; the second runs
+  // over link 1, which no packet has crossed yet.
+  sim::Simulator sim;
+  Network net(sim);
+  const NodeId a = net.add_node(1);
+  const NodeId b = net.add_node(1);
+  const NodeId c = net.add_node(1);
+  net.connect(a, b, 1e8, sim::Duration::micros(100));
+  net.connect(a, c, 1e8, sim::Duration::micros(100));
+  const Address at_b{.provider = 1, .subscriber = 2, .host = 1};
+  const Address at_c{.provider = 1, .subscriber = 3, .host = 1};
+  net.node(b).add_address(at_b);
+  net.node(c).add_address(at_c);
+  net.node(a).forwarding().set_prefix_route(prefix_of(at_b), 0);
+  net.node(a).forwarding().set_prefix_route(prefix_of(at_c), 1);
+  auto schedule_singles = [&](Address to) {
+    for (int i = 0; i < kBurst; ++i) {
+      Packet p;
+      p.dst = to;
+      sim.schedule(sim::Duration::millis(i + 1), [&net, a, p] { net.node(a).originate(p); });
+    }
+  };
+
+  schedule_singles(at_b);
+  sim.run();
+  ASSERT_EQ(net.counters().delivered.value(), kBurst);
+
+  schedule_singles(at_c);
+  const std::uint64_t before = t_allocs;
+  sim.run();
+  const std::uint64_t allocs = t_allocs - before;
+  EXPECT_EQ(net.counters().delivered.value(), 2 * kBurst);
+  EXPECT_EQ(net.link(1).tx_packets(a), static_cast<std::uint64_t>(kBurst));
+  EXPECT_EQ(allocs, 0u) << "allocations sending " << kBurst << " packets over an idle link";
 }
 
 TEST(NetHopAlloc, CounterSeesAPacketCapture) {
