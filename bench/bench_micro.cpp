@@ -187,6 +187,22 @@ BENCHMARK(BM_LinkHop);
 void BM_LinkHopQueued(benchmark::State& state) { link_hops(state, 8); }
 BENCHMARK(BM_LinkHopQueued);
 
+// run_sweep over 64 runs of a trivial body on one worker: each run's
+// record, RNG stream and RunContext, and with audit:1 the per-run shard
+// auditor the engine builds for every run (SweepOptions::audit).
+void BM_SweepFanOut(benchmark::State& state) {
+  core::ScenarioSpec spec;
+  spec.name = "fan-out";
+  spec.replicas = 64;
+  spec.body = [](core::RunContext& ctx) { ctx.put("draw", ctx.rng().uniform()); };
+  core::SweepOptions opts;
+  opts.jobs = 1;
+  opts.audit = state.range(0) != 0;
+  for (auto _ : state) benchmark::DoNotOptimize(core::run_sweep(spec, opts).runs.size());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
+}
+BENCHMARK(BM_SweepFanOut)->ArgName("audit")->Arg(0)->Arg(1);
+
 void BM_PolicyEval(benchmark::State& state) {
   auto onto = policy::standard_packet_ontology();
   auto expr = policy::Expr::compile(

@@ -1,11 +1,17 @@
 #include "harness.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <vector>
+#include <string_view>
+#include <variant>
 
 #include "core/report.hpp"
 #include "sim/json.hpp"
@@ -13,217 +19,176 @@
 
 namespace tussle::bench {
 
-namespace {
-
+/// One field per option, set by its row in kOptions; seed, jobs, replicas
+/// and shards stay unset unless given, for ParallelOptions to resolve.
 struct Flags {
-  std::string json_path;
-  std::string trace_path;
-  std::string chrome_trace_path;
-  std::string span_tree_path;
-  std::optional<std::uint64_t> explain_flow;
+  bool list = false, profile = false, audit = false, scale = false, exec = false, mem = false;
+  std::string case_filter, json, trace, chrome_trace, span_tree, ts_csv, ts_json, dashboard;
+  std::string audit_json, scale_json, scale_dashboard, exec_json, exec_trace, exec_dashboard;
+  std::string mem_json, mem_dashboard;
+  std::optional<std::uint64_t> replicas, seed, jobs, shards, explain_flow;
   sim::TraceLevel trace_level = sim::TraceLevel::kInfo;
-  bool profile = false;
-  double heartbeat_seconds = 0;
-  double timeseries_seconds = 0;
-  std::string ts_csv_path;
-  std::string ts_json_path;
-  std::string dashboard_path;
-  bool audit = false;
-  std::string audit_json_path;
-  bool scale = false;
-  std::string scale_json_path;
-  std::string scale_dashboard_path;
-  bool exec = false;
-  std::string exec_json_path;
-  std::string exec_trace_path;
-  std::string exec_dashboard_path;
-  bool mem = false;
-  std::string mem_json_path;
-  std::string mem_dashboard_path;
-  bool list = false;
-  std::string case_filter;
-  // Parallelism/reproducibility knobs stay unset here; ParallelOptions
-  // applies the flag > environment > default ladder in one place.
-  std::optional<std::uint64_t> seed;
-  std::optional<std::size_t> jobs;
-  std::optional<std::size_t> replicas;
-  std::optional<std::size_t> shards;
+  double heartbeat = 0, timeseries = 0;
+
+  bool wants_spans() const { return !chrome_trace.empty() || !span_tree.empty() || explain_flow; }
+  bool wants_audit() const {
+    const char* env = std::getenv("TUSSLE_AUDIT");
+    return audit || (env != nullptr && *env != '\0' && std::string(env) != "0");
+  }
+  /// A time-series export without --timeseries samples every 20 ms.
+  double sample_seconds() const {
+    const bool exports = !ts_csv.empty() || !ts_json.empty() || !dashboard.empty();
+    return timeseries == 0 && exports ? 0.02 : timeseries;
+  }
+  /// The global tracer and the heartbeat's stderr stream are shared sinks:
+  /// concurrent runs would interleave their writes, so either forces --jobs 1.
+  bool serial_sinks() const { return !trace.empty() || heartbeat > 0; }
+  /// Trace and span collection and the scale and memory profilers model one
+  /// global event stream, so they force the serial backend. The heartbeat
+  /// does not: the sharded coordinator ticks it between barrier windows.
+  bool serial_backend() const { return !trace.empty() || wants_spans() || scale || mem; }
 };
 
+namespace {
+
+/// The field an option sets; its type says what the argument must be (see
+/// the read() overloads).
+using Field = std::variant<bool Flags::*, std::string Flags::*, sim::TraceLevel Flags::*,
+                           std::optional<std::uint64_t> Flags::*, double Flags::*>;
+
+struct Option {
+  const char* name;
+  const char* arg;  ///< the usage text's placeholder; nullptr for a switch
+  Field field;
+  bool Flags::*implies = nullptr;  ///< the switch an export path turns on
+  std::uint64_t min = 0;           ///< the least count accepted
+};
+
+const Option kOptions[] = {
+    {"--list", nullptr, &Flags::list},
+    {"--case", "<name>", &Flags::case_filter},
+    {"--replicas", "<n>", &Flags::replicas},
+    {"--seed", "<s>", &Flags::seed},
+    {"--jobs", "<n>", &Flags::jobs, nullptr, 1},
+    {"--shards", "<k>", &Flags::shards},
+    {"--json", "<path>", &Flags::json},
+    {"--trace", "<path>", &Flags::trace},
+    {"--trace-level", "debug|info|warn|error", &Flags::trace_level},
+    {"--profile", nullptr, &Flags::profile},
+    {"--heartbeat", "<seconds>", &Flags::heartbeat},
+    {"--chrome-trace", "<path>", &Flags::chrome_trace},
+    {"--span-tree", "<path>|-", &Flags::span_tree},
+    {"--explain", "<flow-id>", &Flags::explain_flow},
+    {"--timeseries", "<seconds>", &Flags::timeseries},
+    {"--ts-csv", "<path>", &Flags::ts_csv},
+    {"--ts-json", "<path>", &Flags::ts_json},
+    {"--dashboard", "<path>", &Flags::dashboard},
+    {"--audit", nullptr, &Flags::audit},
+    {"--audit-json", "<path>", &Flags::audit_json, &Flags::audit},
+    {"--scale-profile", nullptr, &Flags::scale},
+    {"--scale-json", "<path>", &Flags::scale_json, &Flags::scale},
+    {"--scale-dashboard", "<path>", &Flags::scale_dashboard, &Flags::scale},
+    {"--exec-profile", nullptr, &Flags::exec},
+    {"--exec-json", "<path>", &Flags::exec_json, &Flags::exec},
+    {"--exec-trace", "<path>", &Flags::exec_trace, &Flags::exec},
+    {"--exec-dashboard", "<path>", &Flags::exec_dashboard, &Flags::exec},
+    {"--mem-profile", nullptr, &Flags::mem},
+    {"--mem-json", "<path>", &Flags::mem_json, &Flags::mem},
+    {"--mem-dashboard", "<path>", &Flags::mem_dashboard, &Flags::mem},
+};
+
+constexpr std::string_view kLevels[] = {"debug", "info", "warn", "error"};  // TraceLevel order
+
 void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--list] [--case <name>] [--replicas <n>] [--seed <s>]\n"
-               "          [--jobs <n>] [--shards <k>] [--json <path>] [--trace <path>]\n"
-               "          [--trace-level debug|info|warn|error] [--profile]\n"
-               "          [--heartbeat <seconds>] [--chrome-trace <path>]\n"
-               "          [--span-tree <path>|-] [--explain <flow-id>]\n"
-               "          [--timeseries <seconds>] [--ts-csv <path>]\n"
-               "          [--ts-json <path>] [--dashboard <path>]\n"
-               "          [--audit] [--audit-json <path>] [--scale-profile]\n"
-               "          [--scale-json <path>] [--scale-dashboard <path>]\n"
-               "          [--exec-profile] [--exec-json <path>]\n"
-               "          [--exec-trace <path>] [--exec-dashboard <path>]\n"
-               "          [--mem-profile] [--mem-json <path>]\n"
-               "          [--mem-dashboard <path>]\n",
-               argv0);
+  std::fprintf(stderr, "usage: %s [option]...\n", argv0);
+  for (const Option& o : kOptions) {
+    std::fprintf(stderr, "  %s%s%s\n", o.name, o.arg ? " " : "", o.arg ? o.arg : "");
+  }
 }
 
-std::optional<sim::TraceLevel> parse_level(const std::string& s) {
-  if (s == "debug") return sim::TraceLevel::kDebug;
-  if (s == "info") return sim::TraceLevel::kInfo;
-  if (s == "warn") return sim::TraceLevel::kWarn;
-  if (s == "error") return sim::TraceLevel::kError;
-  return std::nullopt;
+/// Reads all of `v` as a number: digits only for a count (no sign, space or
+/// suffix), a plain or exponent decimal for seconds.
+template <class T>
+bool whole_number(const char* v, T& out) {
+  const char* end = v + std::strlen(v);
+  const auto [p, ec] = std::from_chars(v, end, out);
+  return ec == std::errc() && p == end;
+}
+
+// One reader per field type; each fails unless `v` is a valid argument.
+bool read(const char*, bool& out, std::uint64_t) { return out = true; }
+bool read(const char* v, std::string& out, std::uint64_t) { out = v; return true; }
+bool read(const char* v, sim::TraceLevel& out, std::uint64_t) {
+  const auto* l = std::find(std::begin(kLevels), std::end(kLevels), v);
+  if (l == std::end(kLevels)) return false;
+  out = static_cast<sim::TraceLevel>(l - std::begin(kLevels));
+  return true;
+}
+bool read(const char* v, std::optional<std::uint64_t>& out, std::uint64_t min) {
+  std::uint64_t n = 0;
+  if (!whole_number(v, n) || n < min) return false;
+  out = n;
+  return true;
+}
+bool read(const char* v, double& out, std::uint64_t) {
+  return whole_number(v, out) && out > 0 && !std::isinf(out);
 }
 
 std::optional<Flags> parse_flags(int argc, char** argv) {
   Flags f;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    if (arg == "--json") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      f.json_path = v;
-    } else if (arg == "--trace") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      f.trace_path = v;
-    } else if (arg == "--trace-level") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      auto lvl = parse_level(v);
-      if (!lvl) return std::nullopt;
-      f.trace_level = *lvl;
-    } else if (arg == "--chrome-trace") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      f.chrome_trace_path = v;
-    } else if (arg == "--span-tree") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      f.span_tree_path = v;
-    } else if (arg == "--explain") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      f.explain_flow = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--timeseries") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      f.timeseries_seconds = std::atof(v);
-      if (f.timeseries_seconds <= 0) return std::nullopt;
-    } else if (arg == "--ts-csv") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      f.ts_csv_path = v;
-    } else if (arg == "--ts-json") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      f.ts_json_path = v;
-    } else if (arg == "--dashboard") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      f.dashboard_path = v;
-    } else if (arg == "--audit") {
-      f.audit = true;
-    } else if (arg == "--audit-json") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      f.audit_json_path = v;
-      f.audit = true;
-    } else if (arg == "--scale-profile") {
-      f.scale = true;
-    } else if (arg == "--scale-json") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      f.scale_json_path = v;
-      f.scale = true;
-    } else if (arg == "--scale-dashboard") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      f.scale_dashboard_path = v;
-      f.scale = true;
-    } else if (arg == "--exec-profile") {
-      f.exec = true;
-    } else if (arg == "--exec-json") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      f.exec_json_path = v;
-      f.exec = true;
-    } else if (arg == "--exec-trace") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      f.exec_trace_path = v;
-      f.exec = true;
-    } else if (arg == "--exec-dashboard") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      f.exec_dashboard_path = v;
-      f.exec = true;
-    } else if (arg == "--mem-profile") {
-      f.mem = true;
-    } else if (arg == "--mem-json") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      f.mem_json_path = v;
-      f.mem = true;
-    } else if (arg == "--mem-dashboard") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      f.mem_dashboard_path = v;
-      f.mem = true;
-    } else if (arg == "--profile") {
-      f.profile = true;
-    } else if (arg == "--heartbeat") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      f.heartbeat_seconds = std::atof(v);
-      if (f.heartbeat_seconds <= 0) return std::nullopt;
-    } else if (arg == "--list") {
-      f.list = true;
-    } else if (arg == "--case") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      f.case_filter = v;
-    } else if (arg == "--seed") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      f.seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--jobs") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      const long n = std::atol(v);
-      if (n <= 0) return std::nullopt;
-      f.jobs = static_cast<std::size_t>(n);
-    } else if (arg == "--replicas") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      const long n = std::atol(v);
-      if (n < 0) return std::nullopt;
-      f.replicas = static_cast<std::size_t>(n);
-    } else if (arg == "--shards") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      const long n = std::atol(v);
-      if (n < 0) return std::nullopt;
-      f.shards = static_cast<std::size_t>(n);
-    } else {
-      return std::nullopt;
-    }
+    const std::string_view arg = argv[i];
+    const Option* o = std::find_if(std::begin(kOptions), std::end(kOptions),
+                                   [&](const Option& x) { return arg == x.name; });
+    if (o == std::end(kOptions) || (o->arg && ++i == argc)) return std::nullopt;
+    const char* v = o->arg ? argv[i] : nullptr;
+    if (!std::visit([&](auto m) { return read(v, f.*m, o->min); }, o->field)) return std::nullopt;
+    if (o->implies) f.*o->implies = true;
   }
   return f;
 }
 
-/// Writes `content` to `path`; reports a failure on stderr and returns false
-/// (the caller exits 2).
-bool write_file(const std::string& path, const std::string& content) {
-  std::ofstream os(path);
-  if (!os) {
-    std::fprintf(stderr, "harness: cannot write %s\n", path.c_str());
-    return false;
+/// printf into a std::string.
+[[gnu::format(printf, 1, 2)]] std::string strprintf(const char* fmt, ...) {
+  std::va_list args, again;
+  va_start(args, fmt);
+  va_copy(again, args);
+  std::string out(static_cast<std::size_t>(std::vsnprintf(nullptr, 0, fmt, args)), '\0');
+  std::vsnprintf(out.data(), out.size() + 1, fmt, again);
+  va_end(again);
+  va_end(args);
+  return out;
+}
+
+/// One piece of the run's output: a report file, skipped when its path is
+/// empty ("-" means stdout where `dash_is_stdout`), or a stdout line.
+struct Output {
+  Output(const std::string& path, std::function<std::string()> text, bool dash_is_stdout = false)
+      : on(!path.empty()), path(dash_is_stdout && path == "-" ? nullptr : &path),
+        text(std::move(text)) {}
+  Output(bool on, std::function<std::string()> text) : on(on), text(std::move(text)) {}
+
+  bool on;
+  const std::string* path = nullptr;  ///< nullptr: stdout
+  std::function<std::string()> text;
+};
+
+/// Emits each output in order; returns 2 at the first file it cannot write.
+int emit(std::initializer_list<Output> outputs) {
+  for (const Output& o : outputs) {
+    if (!o.on) continue;
+    if (o.path == nullptr) {
+      std::fputs(o.text().c_str(), stdout);
+      continue;
+    }
+    std::ofstream os(*o.path);
+    if (!os) {
+      std::fprintf(stderr, "harness: cannot write %s\n", o.path->c_str());
+      return 2;
+    }
+    os << o.text();
   }
-  os << content;
-  return true;
+  return 0;
 }
 
 /// Opens a report object with its {"experiment": {id, section}} header.
@@ -242,6 +207,60 @@ std::string keyed_report(const Experiment& exp, const char* key, const std::stri
   w.key(key).raw(report);
   w.end_object();
   return w.str() + "\n";
+}
+
+// The one-line stdout summaries of the merged observers.
+std::string timeseries_summary(const sim::TimeSeriesStore& store) {
+  std::size_t samples = 0;
+  for (const auto& [name, ts] : store.items()) samples += ts.size();
+  return strprintf("time series: %zu series, %zu samples\n", store.size(), samples);
+}
+
+std::string audit_summary(const sim::ShardAuditor& a) {
+  return strprintf("shard audit: %zu events, %zu mutations checked, %zu components, "
+                   "%zu shards, %zu violations\n",
+                   a.events_audited(), a.mutations_checked(), a.component_count(),
+                   a.shard_count(), a.violations().size());
+}
+
+std::string scale_summary(const sim::ScaleProfiler& s) {
+  std::size_t real_shards = 0;
+  for (const auto& [shard, n] : s.shard_events()) {
+    (void)n;
+    if (shard != sim::kNoShard && shard != sim::kSharedShard) ++real_shards;
+  }
+  return strprintf("scale profile: %llu events over %llu runs, critical path %llu "
+                   "(work/span %.1f), %zu shards, imbalance %.2f, cross-shard %llu, "
+                   "speedup(k=8) %.2f\n",
+                   static_cast<unsigned long long>(s.work()),
+                   static_cast<unsigned long long>(s.runs()),
+                   static_cast<unsigned long long>(s.critical_path_length()),
+                   s.work_span_ratio(), real_shards, s.imbalance_ratio(),
+                   static_cast<unsigned long long>(s.cross_shard_events()), s.speedup_at(8));
+}
+
+/// Wall-clock observability: these numbers (and the exec files) differ run
+/// to run, so they are exempt from the byte-identity contract and never
+/// fold into the .metrics object.
+std::string exec_summary(const sim::ExecProfiler& e) {
+  const sim::ExecProfiler::Validation val = e.validate();
+  return strprintf("exec profile: %zu runs, %zu windows, %zu workers, wall %.3fs, "
+                   "speedup %.2f measured / %.2f predicted, barrier overhead %.1f%%, "
+                   "dominant loss %s\n",
+                   e.runs(), e.windows(), val.workers, e.elapsed_seconds(),
+                   val.measured_speedup, val.predicted_speedup,
+                   val.barrier_overhead_fraction * 100, val.dominant_loss);
+}
+
+std::string mem_summary(const sim::MemProfiler& m) {
+  return strprintf("mem profile: %llu events over %llu runs, peak %lld bytes "
+                   "(%.1f/actor over %llu actors), %llu allocs (%.2f/event), %zu sites\n",
+                   static_cast<unsigned long long>(m.work()),
+                   static_cast<unsigned long long>(m.runs()),
+                   static_cast<long long>(m.peak_live_bytes()), m.live_bytes_per_actor(),
+                   static_cast<unsigned long long>(m.actor_count()),
+                   static_cast<unsigned long long>(m.alloc_count()), m.allocs_per_event(),
+                   m.sites().size());
 }
 
 /// The --json report: metrics, wall time, event totals and hotspots.
@@ -273,27 +292,23 @@ std::string json_report(const Experiment& exp, const sim::MetricSnapshot& snap,
 
 core::SweepResult Harness::scenario(const core::ScenarioSpec& spec, const Render& render) {
   cases_.push_back({spec.name, spec.description});
-  if (list_) return {};
-  if (!case_filter_.empty() && case_filter_ != spec.name) return {};
+  if (flags_.list) return {};
+  if (!flags_.case_filter.empty() && flags_.case_filter != spec.name) return {};
   case_matched_ = true;
 
   core::SweepOptions opts;
   opts.base_seed = parallel_.seed;
-  opts.jobs = parallel_.sweep_jobs(serial_required_);
+  opts.jobs = parallel_.sweep_jobs(flags_.serial_sinks());
   opts.replicas = parallel_.replicas;
-  opts.profile = profile_to_stderr_ || !json_path_.empty();
-  opts.spans = spans_requested_;
-  opts.heartbeat_seconds = heartbeat_seconds_;
-  opts.timeseries_seconds = timeseries_seconds_;
-  opts.audit = audit_requested_;
-  opts.scale = scale_requested_;
-  opts.exec = exec_requested_;
-  opts.mem = mem_requested_;
-  // Trace/span collection and the scale and memory profilers assume the
-  // serial backend's single event stream and force the sharded backend
-  // off; --heartbeat does not (the sharded coordinator ticks it between
-  // barrier windows).
-  opts.shards = parallel_.run_shards(shards_blocked_);
+  opts.profile = flags_.profile || !flags_.json.empty();
+  opts.spans = flags_.wants_spans();
+  opts.heartbeat_seconds = flags_.heartbeat;
+  opts.timeseries_seconds = flags_.sample_seconds();
+  opts.audit = flags_.wants_audit();
+  opts.scale = flags_.scale;
+  opts.exec = flags_.exec;
+  opts.mem = flags_.mem;
+  opts.shards = parallel_.run_shards(flags_.serial_backend());
 
   core::SweepResult result = core::run_sweep(spec, opts);
 
@@ -330,51 +345,20 @@ core::SweepResult Harness::scenario(const core::ScenarioSpec& spec, const Render
 
 int run(int argc, char** argv, const Experiment& exp,
         const std::function<void(Harness&)>& body) {
-  auto flags = parse_flags(argc, argv);
+  const std::optional<Flags> flags = parse_flags(argc, argv);
   if (!flags) {
     usage(argv[0]);
     return 2;
   }
-
-  Harness h;
-  h.json_path_ = flags->json_path;
-  h.profile_to_stderr_ = flags->profile;
-  h.heartbeat_seconds_ = flags->heartbeat_seconds;
-  h.list_ = flags->list;
-  h.case_filter_ = flags->case_filter;
-  h.parallel_ =
-      ParallelOptions::resolve(flags->seed, flags->jobs, flags->replicas, flags->shards);
-  h.audit_requested_ = flags->audit;
-  if (const char* env = std::getenv("TUSSLE_AUDIT")) {
-    if (*env != '\0' && std::string(env) != "0") h.audit_requested_ = true;
-  }
-  h.scale_requested_ = flags->scale;
-  h.exec_requested_ = flags->exec;
-  h.mem_requested_ = flags->mem;
-  h.spans_requested_ = !flags->chrome_trace_path.empty() || !flags->span_tree_path.empty() ||
-                       flags->explain_flow.has_value();
-  // An export flag without an explicit interval still needs samples.
-  h.timeseries_seconds_ = flags->timeseries_seconds;
-  if (h.timeseries_seconds_ <= 0 &&
-      (!flags->ts_csv_path.empty() || !flags->ts_json_path.empty() ||
-       !flags->dashboard_path.empty())) {
-    h.timeseries_seconds_ = 0.02;
-  }
-  // The global tracer and the heartbeat's stderr stream are shared sinks;
-  // concurrent runs would interleave their writes, so either forces
-  // --jobs 1. Trace/span collection and the scale and memory profilers
-  // (one global event stream each) additionally force the serial
-  // *backend* — the sharded coordinator ticks the heartbeat itself.
-  h.serial_required_ = !flags->trace_path.empty() || flags->heartbeat_seconds > 0;
-  h.shards_blocked_ = !flags->trace_path.empty() || h.spans_requested_ ||
-                      h.scale_requested_ || h.mem_requested_;
-  if (h.parallel_.shards > 0 && h.shards_blocked_) {
+  const Flags& f = *flags;
+  Harness h(f, ParallelOptions::resolve(f.seed, f.jobs, f.replicas, f.shards));
+  if (h.parallel_.shards > 0 && f.serial_backend()) {
     std::fprintf(stderr,
                  "harness: --shards ignored: --trace, span, --scale-* and --mem-* flags "
                  "need the serial backend\n");
   }
 
-  if (h.list_) {
+  if (f.list) {
     // Declaration pass only: scenario() records names without running.
     body(h);
     for (const auto& c : h.cases_) {
@@ -387,15 +371,15 @@ int run(int argc, char** argv, const Experiment& exp,
   // the default tracer lands in the file, whatever Network or module the
   // bench wires up.
   std::ofstream trace_os;
-  if (!flags->trace_path.empty()) {
-    trace_os.open(flags->trace_path);
+  if (!f.trace.empty()) {
+    trace_os.open(f.trace);
     if (!trace_os) {
-      std::fprintf(stderr, "harness: cannot write %s\n", flags->trace_path.c_str());
+      std::fprintf(stderr, "harness: cannot write %s\n", f.trace.c_str());
       return 2;
     }
     auto& tracer = sim::Tracer::global();
     tracer.enable(true);
-    tracer.set_level(flags->trace_level);
+    tracer.set_level(f.trace_level);
     tracer.set_sink(sim::make_jsonl_sink(trace_os));
   }
 
@@ -411,174 +395,80 @@ int run(int argc, char** argv, const Experiment& exp,
     // slots that had not merged when the violation fired are absent, but
     // the violation itself is guaranteed present.
     std::fprintf(stderr, "%s\n", v.what());
-    if (!flags->audit_json_path.empty()) {
-      h.audit_.record_violation(v.access());
-      write_file(flags->audit_json_path, h.audit_.report_json() + "\n");  // exit 1 either way
-    }
+    h.audit_.record_violation(v.access());
+    emit({{f.audit_json, [&] { return h.audit_.report_json() + "\n"; }}});  // exit 1 either way
     return 1;
   }
   const double wall_seconds = sim::wall_now_seconds() - wall_start;
 
-  if (!flags->trace_path.empty()) {
+  if (!f.trace.empty()) {
     auto& tracer = sim::Tracer::global();
     tracer.set_sink(nullptr);
     tracer.enable(false);
   }
 
-  if (!h.case_filter_.empty() && !h.case_matched_) {
+  if (!f.case_filter.empty() && !h.case_matched_) {
     std::fprintf(stderr, "%s: no case named '%s'; available:\n", argv[0],
-                 h.case_filter_.c_str());
+                 f.case_filter.c_str());
     for (const auto& c : h.cases_) std::fprintf(stderr, "  %s\n", c.name.c_str());
     return 2;
   }
 
-  const std::string dashboard_title = exp.id + " \xc2\xb7 " + exp.section;
-
-  if (!flags->chrome_trace_path.empty()) {
-    if (!write_file(flags->chrome_trace_path, sim::to_chrome_trace(h.spans_.spans()) + "\n")) {
-      return 2;
-    }
-    std::printf("chrome trace: %zu spans -> %s\n", h.spans_.size(),
-                flags->chrome_trace_path.c_str());
+  const std::string title = exp.id + " \xc2\xb7 " + exp.section;
+  const auto& spans = h.spans_.spans();
+  const bool audit = f.wants_audit();
+  if (int rc = emit({
+          {f.chrome_trace, [&] { return sim::to_chrome_trace(spans) + "\n"; }},
+          {!f.chrome_trace.empty(),
+           [&] {
+             return strprintf("chrome trace: %zu spans -> %s\n", h.spans_.size(),
+                              f.chrome_trace.c_str());
+           }},
+          {f.span_tree, [&] { return sim::span_tree_report(spans); }, true},
+          {f.explain_flow.has_value(), [&] { return sim::explain_flow(spans, *f.explain_flow); }},
+          {f.ts_csv, [&] { return h.timeseries_.to_csv(); }},
+          {f.ts_json, [&] { return h.timeseries_.to_json() + "\n"; }},
+          {f.dashboard, [&] { return sim::timeseries_dashboard(h.timeseries_, title); }},
+          {f.sample_seconds() > 0, [&] { return timeseries_summary(h.timeseries_); }},
+          {audit, [&] { return audit_summary(h.audit_); }},
+          {f.audit_json, [&] { return h.audit_.report_json() + "\n"; }},
+      })) {
+    return rc;
+  }
+  if (audit && !h.audit_.violations().empty()) {
+    std::fprintf(stderr, "%s\n", h.audit_.describe(h.audit_.violations().front()).c_str());
+    return 1;
   }
 
-  if (!flags->span_tree_path.empty()) {
-    const std::string report = sim::span_tree_report(h.spans_.spans());
-    if (flags->span_tree_path == "-") {
-      std::fputs(report.c_str(), stdout);
-    } else if (!write_file(flags->span_tree_path, report)) {
-      return 2;
-    }
+  if (int rc = emit({
+          {f.scale, [&] { return scale_summary(h.scale_); }},
+          {f.scale_json, [&] { return keyed_report(exp, "scale", h.scale_.report_json()); }},
+          {f.scale_dashboard, [&] { return sim::scale_dashboard(h.scale_, title); }},
+          {f.exec, [&] { return exec_summary(h.exec_); }},
+          {f.exec_json, [&] { return keyed_report(exp, "exec", h.exec_.report_json()); }},
+          {f.exec_trace, [&] { return sim::exec_chrome_trace(h.exec_) + "\n"; }},
+          {!f.exec_trace.empty(),
+           [&] {
+             return strprintf("exec trace: %zu runs -> %s\n", h.exec_.runs(),
+                              f.exec_trace.c_str());
+           }},
+          {f.exec_dashboard, [&] { return sim::exec_dashboard(h.exec_, title); }},
+          {f.mem, [&] { return mem_summary(h.mem_); }},
+          {f.mem_json, [&] { return keyed_report(exp, "mem", h.mem_.report_json()); }},
+          {f.mem_dashboard, [&] { return sim::mem_dashboard(h.mem_, title); }},
+      })) {
+    return rc;
   }
 
-  if (flags->explain_flow) {
-    std::fputs(sim::explain_flow(h.spans_.spans(), *flags->explain_flow).c_str(), stdout);
-  }
-
-  if (h.timeseries_seconds_ > 0) {
-    std::size_t samples = 0;
-    for (const auto& [name, ts] : h.timeseries_.items()) samples += ts.size();
-    if (!flags->ts_csv_path.empty() &&
-        !write_file(flags->ts_csv_path, h.timeseries_.to_csv())) {
-      return 2;
-    }
-    if (!flags->ts_json_path.empty() &&
-        !write_file(flags->ts_json_path, h.timeseries_.to_json() + "\n")) {
-      return 2;
-    }
-    if (!flags->dashboard_path.empty() &&
-        !write_file(flags->dashboard_path,
-                    sim::timeseries_dashboard(h.timeseries_, dashboard_title))) {
-      return 2;
-    }
-    std::printf("time series: %zu series, %zu samples\n", h.timeseries_.size(), samples);
-  }
-
-  if (h.audit_requested_) {
-    std::printf("shard audit: %zu events, %zu mutations checked, %zu components, "
-                "%zu shards, %zu violations\n",
-                h.audit_.events_audited(), h.audit_.mutations_checked(),
-                h.audit_.component_count(), h.audit_.shard_count(),
-                h.audit_.violations().size());
-    if (!flags->audit_json_path.empty() &&
-        !write_file(flags->audit_json_path, h.audit_.report_json() + "\n")) {
-      return 2;
-    }
-    if (!h.audit_.violations().empty()) {
-      std::fprintf(stderr, "%s\n", h.audit_.describe(h.audit_.violations().front()).c_str());
-      return 1;
-    }
-  }
-
-  if (h.scale_requested_) {
-    std::size_t real_shards = 0;
-    for (const auto& [shard, n] : h.scale_.shard_events()) {
-      (void)n;
-      if (shard != sim::kNoShard && shard != sim::kSharedShard) ++real_shards;
-    }
-    std::printf("scale profile: %llu events over %llu runs, critical path %llu "
-                "(work/span %.1f), %zu shards, imbalance %.2f, cross-shard %llu, "
-                "speedup(k=8) %.2f\n",
-                static_cast<unsigned long long>(h.scale_.work()),
-                static_cast<unsigned long long>(h.scale_.runs()),
-                static_cast<unsigned long long>(h.scale_.critical_path_length()),
-                h.scale_.work_span_ratio(), real_shards, h.scale_.imbalance_ratio(),
-                static_cast<unsigned long long>(h.scale_.cross_shard_events()),
-                h.scale_.speedup_at(8));
-    if (!flags->scale_json_path.empty() &&
-        !write_file(flags->scale_json_path,
-                    keyed_report(exp, "scale", h.scale_.report_json()))) {
-      return 2;
-    }
-    if (!flags->scale_dashboard_path.empty() &&
-        !write_file(flags->scale_dashboard_path,
-                    sim::scale_dashboard(h.scale_, dashboard_title))) {
-      return 2;
-    }
-  }
-
-  if (h.exec_requested_) {
-    // Wall-clock observability: these numbers (and the files below) are
-    // expected to differ run to run — they are exempt from the
-    // byte-identity contract and never fold into the .metrics object.
-    const sim::ExecProfiler::Validation val = h.exec_.validate();
-    std::printf("exec profile: %zu runs, %zu windows, %zu workers, wall %.3fs, "
-                "speedup %.2f measured / %.2f predicted, barrier overhead %.1f%%, "
-                "dominant loss %s\n",
-                h.exec_.runs(), h.exec_.windows(), val.workers,
-                h.exec_.elapsed_seconds(), val.measured_speedup, val.predicted_speedup,
-                val.barrier_overhead_fraction * 100, val.dominant_loss);
-    if (!flags->exec_json_path.empty() &&
-        !write_file(flags->exec_json_path, keyed_report(exp, "exec", h.exec_.report_json()))) {
-      return 2;
-    }
-    if (!flags->exec_trace_path.empty()) {
-      if (!write_file(flags->exec_trace_path, sim::exec_chrome_trace(h.exec_) + "\n")) {
-        return 2;
-      }
-      std::printf("exec trace: %zu runs -> %s\n", h.exec_.runs(),
-                  flags->exec_trace_path.c_str());
-    }
-    if (!flags->exec_dashboard_path.empty() &&
-        !write_file(flags->exec_dashboard_path,
-                    sim::exec_dashboard(h.exec_, dashboard_title))) {
-      return 2;
-    }
-  }
-
-  if (h.mem_requested_) {
-    std::printf("mem profile: %llu events over %llu runs, peak %lld bytes "
-                "(%.1f/actor over %llu actors), %llu allocs (%.2f/event), "
-                "%zu sites\n",
-                static_cast<unsigned long long>(h.mem_.work()),
-                static_cast<unsigned long long>(h.mem_.runs()),
-                static_cast<long long>(h.mem_.peak_live_bytes()),
-                h.mem_.live_bytes_per_actor(),
-                static_cast<unsigned long long>(h.mem_.actor_count()),
-                static_cast<unsigned long long>(h.mem_.alloc_count()),
-                h.mem_.allocs_per_event(), h.mem_.sites().size());
-    if (!flags->mem_json_path.empty() &&
-        !write_file(flags->mem_json_path, keyed_report(exp, "mem", h.mem_.report_json()))) {
-      return 2;
-    }
-    if (!flags->mem_dashboard_path.empty() &&
-        !write_file(flags->mem_dashboard_path, sim::mem_dashboard(h.mem_, dashboard_title))) {
-      return 2;
-    }
-  }
-
-  if (flags->profile) {
+  if (f.profile) {
     std::fprintf(stderr, "\nEvent-loop hotspots (%llu events, %.3f ms profiled)\n%s",
                  static_cast<unsigned long long>(h.profiler_.total_events()),
                  h.profiler_.total_wall_seconds() * 1e3, h.profiler_.report().c_str());
   }
-
-  if (!flags->json_path.empty() &&
-      !write_file(flags->json_path, json_report(exp, h.metrics_.snapshot(), h.sweep_events_,
-                                                wall_seconds, h.profiler_.hotspots_json()))) {
-    return 2;
-  }
-  return 0;
+  return emit({{f.json, [&] {
+                  return json_report(exp, h.metrics_.snapshot(), h.sweep_events_, wall_seconds,
+                                     h.profiler_.hotspots_json());
+                }}});
 }
 
 }  // namespace tussle::bench

@@ -107,29 +107,29 @@ void RunContext::instrument(sim::Simulator& sim) {
   if (shards_ > 0) {
     sim.set_backend(std::make_unique<sim::ShardedBackend>(sim, shards_));
   }
-  if (audit_ != nullptr) {
-    audit_->set_span_tracer(spans_);  // violation reports carry the span, if any
-    sim.set_auditor(audit_);
+  if (run_.audit) {
+    run_.audit->set_span_tracer(run_.spans.get());  // violation reports carry the span, if any
+    sim.set_auditor(run_.audit.get());
   }
-  if (scale_ != nullptr) sim.set_scale_profiler(scale_);
-  if (exec_ != nullptr) sim.set_exec_profiler(exec_);
-  if (mem_ != nullptr) {
-    sim.set_mem_profiler(mem_);
+  if (run_.scale) sim.set_scale_profiler(run_.scale.get());
+  if (run_.exec) sim.set_exec_profiler(run_.exec.get());
+  if (sim::MemProfiler* m = run_.mem.get()) {
+    sim.set_mem_profiler(m);
     // The sweep engine's own per-run state is part of the footprint the
     // million-actor refactor has to carry; account it like any component.
-    mem_->count_alloc("core.sweep_run", sizeof(RunResult));
-    if (timeseries_ != nullptr) {
+    m->count_alloc("core.sweep_run", sizeof(RunResult));
+    if (run_.timeseries) {
       // Satellite gauges: memory over sim time rides the same dashboard as
       // every other series. Probes fire only while the body samples, so
       // the captured simulator reference cannot outlive its run.
       sim::Simulator* s = &sim;
-      timeseries_->probe("mem.live_bytes",
-                         [m = mem_] { return static_cast<double>(m->live_bytes()); });
-      timeseries_->probe("sim.queue_depth",
-                         [s] { return static_cast<double>(s->events_pending()); });
+      run_.timeseries->probe("mem.live_bytes",
+                             [m] { return static_cast<double>(m->live_bytes()); });
+      run_.timeseries->probe("sim.queue_depth",
+                             [s] { return static_cast<double>(s->events_pending()); });
     }
   }
-  if (profiler_ != nullptr) sim.attach(profiler_);
+  if (run_.profiler) sim.attach(run_.profiler.get());
   // --trace installs its JSONL sink on the process-global tracer, but
   // components built on this simulator log to its own per-run tracer;
   // mirror the global configuration so their records land in the same
@@ -248,57 +248,32 @@ SweepResult run_sweep(const ScenarioSpec& spec, const SweepOptions& opts) {
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= total) return;
-      const std::size_t point_index = i / out.replicas;
-      const std::size_t replica = i % out.replicas;
       RunResult& slot = out.runs[i];
       slot.run_index = i;
-      slot.point_index = point_index;
-      slot.replica = replica;
+      slot.point_index = i / out.replicas;
+      slot.replica = i % out.replicas;
       try {
         sim::Rng rng = sim::Rng::stream(opts.base_seed, i);
-        RunContext ctx(rng, slot.metrics, out.points[point_index], point_index, replica, i);
-        if (opts.profile) {
-          slot.profiler = std::make_unique<sim::LoopProfiler>();
-          ctx.profiler_ = slot.profiler.get();
-        }
-        if (opts.spans) {
-          slot.spans = std::make_unique<sim::SpanTracer>();
-          ctx.spans_ = slot.spans.get();
-        }
+        if (opts.profile) slot.profiler = std::make_unique<sim::LoopProfiler>();
+        if (opts.spans) slot.spans = std::make_unique<sim::SpanTracer>();
         if (opts.timeseries_seconds > 0) {
           slot.timeseries = std::make_unique<sim::TimeSeriesRecorder>(
               sim::Duration::seconds(opts.timeseries_seconds));
-          ctx.timeseries_ = slot.timeseries.get();
         }
-        if (opts.audit) {
-          slot.audit = std::make_unique<sim::ShardAuditor>();
-          ctx.audit_ = slot.audit.get();
-        }
-        if ((opts.scale || opts.mem) && !slot.audit) {
+        if (opts.audit || opts.scale || opts.mem) {
           // Shard attribution (scale load, memory footprint) rides the
-          // auditor's claims; fail-soft so profiling never turns into
-          // policing.
+          // auditor's claims; without --audit it is fail-soft, so
+          // profiling never turns into policing.
           slot.audit = std::make_unique<sim::ShardAuditor>();
-          slot.audit->set_fail_fast(false);
-          ctx.audit_ = slot.audit.get();
+          slot.audit->set_fail_fast(opts.audit);
         }
-        if (opts.scale) {
-          slot.scale = std::make_unique<sim::ScaleProfiler>();
-          ctx.scale_ = slot.scale.get();
-        }
-        if (opts.exec) {
-          slot.exec = std::make_unique<sim::ExecProfiler>();
-          ctx.exec_ = slot.exec.get();
-        }
-        if (opts.mem) {
-          slot.mem = std::make_unique<sim::MemProfiler>();
-          ctx.mem_ = slot.mem.get();
-        }
+        if (opts.scale) slot.scale = std::make_unique<sim::ScaleProfiler>();
+        if (opts.exec) slot.exec = std::make_unique<sim::ExecProfiler>();
+        if (opts.mem) slot.mem = std::make_unique<sim::MemProfiler>();
+        RunContext ctx(rng, slot, out.points[slot.point_index]);
         if (serial) ctx.heartbeat_seconds_ = opts.heartbeat_seconds;
         ctx.shards_ = opts.shards;
         spec.body(ctx);
-        slot.notes = std::move(ctx.notes_);
-        slot.events = ctx.events_;
       } catch (...) {
         std::lock_guard<std::mutex> lock(error_mu);
         if (!first_error) first_error = std::current_exception();

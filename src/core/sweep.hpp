@@ -84,38 +84,64 @@ struct SweepOptions;
 struct SweepResult;
 SweepResult run_sweep(const ScenarioSpec& spec, const SweepOptions& opts);
 
-/// Everything a scenario body may touch during one run. The engine owns
+/// One completed run, in its final resting place inside a SweepResult.
+struct RunResult {
+  std::size_t run_index = 0;
+  std::size_t point_index = 0;
+  std::size_t replica = 0;
+  sim::MetricSet metrics;
+  std::vector<std::string> notes;
+  std::size_t events = 0;
+  /// Per-run profile; empty unless SweepOptions::profile was set and the
+  /// body called ctx.instrument(). unique_ptr keeps RunResult movable.
+  std::unique_ptr<sim::LoopProfiler> profiler;
+  /// Per-run causal spans; null unless SweepOptions::spans was set.
+  std::unique_ptr<sim::SpanTracer> spans;
+  /// Per-run time series; null unless SweepOptions::timeseries_seconds > 0.
+  std::unique_ptr<sim::TimeSeriesRecorder> timeseries;
+  /// Per-run shard audit; null unless SweepOptions::audit or ::scale was
+  /// set (scale auto-creates a fail-soft one for shard attribution).
+  std::unique_ptr<sim::ShardAuditor> audit;
+  /// Per-run scale profile; null unless SweepOptions::scale was set.
+  std::unique_ptr<sim::ScaleProfiler> scale;
+  /// Per-run execution (wall-clock) profile; null unless
+  /// SweepOptions::exec was set.
+  std::unique_ptr<sim::ExecProfiler> exec;
+  /// Per-run memory profile; null unless SweepOptions::mem was set.
+  std::unique_ptr<sim::MemProfiler> mem;
+};
+
+/// Everything a scenario body may touch during one run: a view of the
+/// run's RunResult slot, which it reads and fills in place. The engine owns
 /// the referenced objects; the body must not stash the references beyond
 /// its own invocation.
 class RunContext {
  public:
-  RunContext(sim::Rng& rng, sim::MetricSet& metrics, const ParamPoint& params,
-             std::size_t point_index, std::size_t replica, std::size_t run_index) noexcept
-      : rng_(rng), metrics_(metrics), params_(params), point_index_(point_index),
-        replica_(replica), run_index_(run_index) {}
+  RunContext(sim::Rng& rng, RunResult& run, const ParamPoint& params) noexcept
+      : rng_(rng), run_(run), params_(params) {}
 
   sim::Rng& rng() noexcept { return rng_; }
-  sim::MetricSet& metrics() noexcept { return metrics_; }
+  sim::MetricSet& metrics() noexcept { return run_.metrics; }
   const ParamPoint& params() const noexcept { return params_; }
   double param(const std::string& name) const { return params_.get(name); }
   double param(const std::string& name, double fallback) const noexcept {
     return params_.get(name, fallback);
   }
 
-  std::size_t point_index() const noexcept { return point_index_; }
-  std::size_t replica() const noexcept { return replica_; }
-  std::size_t run_index() const noexcept { return run_index_; }
+  std::size_t point_index() const noexcept { return run_.point_index; }
+  std::size_t replica() const noexcept { return run_.replica; }
+  std::size_t run_index() const noexcept { return run_.run_index; }
 
-  void put(const std::string& key, double value) { metrics_.put(key, value); }
+  void put(const std::string& key, double value) { run_.metrics.put(key, value); }
 
   /// Records a human-readable line attributed to this run. Notes are kept
   /// per run and replayed in run-index order, so narrative output stays
   /// deterministic under any --jobs.
-  void note(std::string line) { notes_.push_back(std::move(line)); }
+  void note(std::string line) { run_.notes.push_back(std::move(line)); }
 
   /// Adds to this run's simulated-event total (e.g. the return value of
   /// sim::Simulator::run()).
-  void add_events(std::size_t n) noexcept { events_ += n; }
+  void add_events(std::size_t n) noexcept { run_.events += n; }
 
   /// Attaches this run's observability hooks (per-run profiler, heartbeat)
   /// to a simulator the body built, and — when the sweep asked for
@@ -129,20 +155,20 @@ class RunContext {
   /// Bodies hand it to the components they build (Network::set_spans,
   /// Ledger::set_span_tracer, ...); each run records into its own tracer,
   /// so parallel runs never contend and merged output is deterministic.
-  sim::SpanTracer* spans() noexcept { return spans_; }
+  sim::SpanTracer* spans() noexcept { return run_.spans.get(); }
 
   /// This run's time-series recorder, or nullptr unless
   /// SweepOptions::timeseries_seconds was set. Bodies register probes and
   /// attach() it / call maybe_sample() on the round loop; each run records
   /// into its own store, so merged exports are --jobs-independent.
-  sim::TimeSeriesRecorder* timeseries() noexcept { return timeseries_; }
+  sim::TimeSeriesRecorder* timeseries() noexcept { return run_.timeseries.get(); }
 
   /// This run's cross-shard access auditor, or nullptr unless
   /// SweepOptions::audit was set. instrument() attaches it to the
   /// simulator; bodies hand it to shared components they build
   /// (Ledger::set_auditor) and may declare control events on it. Each run
   /// audits into its own instance, merged in run-index order.
-  sim::ShardAuditor* audit() noexcept { return audit_; }
+  sim::ShardAuditor* audit() noexcept { return run_.audit.get(); }
 
   /// This run's memory profiler, or nullptr unless SweepOptions::mem was
   /// set. instrument() attaches it to the simulator (plus a fail-soft
@@ -151,28 +177,16 @@ class RunContext {
   /// gauges on the run's TimeSeriesRecorder when one exists. Each run
   /// profiles into its own instance, merged in run-index order — so merged
   /// exports are byte-identical at any --jobs.
-  sim::MemProfiler* mem() noexcept { return mem_; }
+  sim::MemProfiler* mem() noexcept { return run_.mem.get(); }
 
  private:
   friend SweepResult run_sweep(const ScenarioSpec& spec, const SweepOptions& opts);
 
   sim::Rng& rng_;
-  sim::MetricSet& metrics_;
+  RunResult& run_;
   const ParamPoint& params_;
-  std::size_t point_index_ = 0;
-  std::size_t replica_ = 0;
-  std::size_t run_index_ = 0;
-  std::vector<std::string> notes_;
-  std::size_t events_ = 0;
-  sim::LoopProfiler* profiler_ = nullptr;
   double heartbeat_seconds_ = 0;
   std::size_t shards_ = 0;
-  sim::SpanTracer* spans_ = nullptr;
-  sim::TimeSeriesRecorder* timeseries_ = nullptr;
-  sim::ShardAuditor* audit_ = nullptr;
-  sim::ScaleProfiler* scale_ = nullptr;
-  sim::ExecProfiler* exec_ = nullptr;
-  sim::MemProfiler* mem_ = nullptr;
 };
 
 /// A declarative experiment case: what to run, over which parameter points,
@@ -232,33 +246,6 @@ struct SweepOptions {
   /// serial backend. Orthogonal to `jobs` (across-run parallelism); the
   /// harness resolves the two together (bench::ParallelOptions).
   std::size_t shards = 0;
-};
-
-/// One completed run, in its final resting place inside a SweepResult.
-struct RunResult {
-  std::size_t run_index = 0;
-  std::size_t point_index = 0;
-  std::size_t replica = 0;
-  sim::MetricSet metrics;
-  std::vector<std::string> notes;
-  std::size_t events = 0;
-  /// Per-run profile; empty unless SweepOptions::profile was set and the
-  /// body called ctx.instrument(). unique_ptr keeps RunResult movable.
-  std::unique_ptr<sim::LoopProfiler> profiler;
-  /// Per-run causal spans; null unless SweepOptions::spans was set.
-  std::unique_ptr<sim::SpanTracer> spans;
-  /// Per-run time series; null unless SweepOptions::timeseries_seconds > 0.
-  std::unique_ptr<sim::TimeSeriesRecorder> timeseries;
-  /// Per-run shard audit; null unless SweepOptions::audit or ::scale was
-  /// set (scale auto-creates a fail-soft one for shard attribution).
-  std::unique_ptr<sim::ShardAuditor> audit;
-  /// Per-run scale profile; null unless SweepOptions::scale was set.
-  std::unique_ptr<sim::ScaleProfiler> scale;
-  /// Per-run execution (wall-clock) profile; null unless
-  /// SweepOptions::exec was set.
-  std::unique_ptr<sim::ExecProfiler> exec;
-  /// Per-run memory profile; null unless SweepOptions::mem was set.
-  std::unique_ptr<sim::MemProfiler> mem;
 };
 
 struct SweepResult {

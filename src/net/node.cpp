@@ -61,8 +61,9 @@ void Node::renumber(std::vector<Address> addrs) {
 
 ForwardingTable& Node::forwarding() {
   audit_mutation("forwarding");
-  // Refresh the route-accounting hook from the executing context (base
-  // profiler during setup, the owner's lane inside a sharded worker event).
+  // Refresh the route-accounting hook from the simulator's memory profiler,
+  // which may have been attached or detached since the last call (serial
+  // runs only; a sharded run has none).
   fib_.set_mem_profiler(net_->mem_profiler());
   return fib_;
 }

@@ -140,7 +140,6 @@ class ExecutionBackend {
 
   // Access to Simulator internals for backend implementations; Simulator
   // befriends only this base class, subclasses go through these.
-  EventQueue& base_queue() noexcept;
   SimTime base_now() const noexcept;
   void set_base_now(SimTime t) noexcept;
   std::uint64_t sim_seed() const noexcept;
@@ -152,7 +151,7 @@ class ExecutionBackend {
   /// base instances, whatever the calling thread); nullptr when detached.
   ShardAuditor* auditor_hook() const noexcept;
   ExecProfiler* exec_hook() const noexcept;
-  /// Heartbeat support for non-serial backends: true when a heartbeat is
+  /// Heartbeat support for every backend: true when a heartbeat is
   /// configured, reset at run() start, and a tick the coordinator calls
   /// between barrier windows (emits at most one line per heartbeat period
   /// of sim-time; schedules nothing, so it cannot change the event order).

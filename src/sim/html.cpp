@@ -1,5 +1,6 @@
 #include "sim/html.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -56,6 +57,36 @@ std::string fmt_compact(double v) {
 void open_card(std::string& out, const std::string& heading, const std::string& note) {
   out += "<div class=\"card\">\n<h2>" + html_escape(heading) + "</h2>\n";
   if (!note.empty()) out += "<p class=\"stats\">" + note + "</p>\n";
+}
+
+void histogram_svg(std::string& out, const std::map<std::uint32_t, std::uint64_t>& hist,
+                   const char* unit) {
+  if (hist.empty()) return;
+  std::uint64_t mx = 0;
+  for (const auto& [b, n] : hist) {
+    (void)b;
+    mx = std::max(mx, n);
+  }
+  if (mx == 0) return;
+  const std::size_t n = hist.size();
+  constexpr double kW = 760, kH = 140, kML = 46, kMB = 24;
+  const double bw = (kW - kML - 14) / static_cast<double>(n);
+  out += "<svg viewBox=\"0 0 " + fmt2(kW) + " " + fmt2(kH) + "\" role=\"img\">\n";
+  std::size_t i = 0;
+  for (const auto& [b, cnt] : hist) {
+    const double h = (kH - kMB - 10) * static_cast<double>(cnt) / static_cast<double>(mx);
+    const double x = kML + bw * static_cast<double>(i);
+    out += "<rect class=\"bar\" x=\"" + fmt2(x + 2) + "\" y=\"" + fmt2(kH - kMB - h) +
+           "\" width=\"" + fmt2(bw - 4) + "\" height=\"" + fmt2(h) + "\"><title>" +
+           std::to_string(cnt) + " " + unit + "</title></rect>\n";
+    const std::string label =
+        b == 0 ? std::string("0")
+               : "&#8804;" + fmt_compact(static_cast<double>((1ull << b) - 1));
+    out += "<text class=\"tick\" x=\"" + fmt2(x + bw / 2) + "\" y=\"" + fmt2(kH - 8) +
+           "\" text-anchor=\"middle\">" + label + "</text>\n";
+    ++i;
+  }
+  out += "</svg>\n";
 }
 
 std::string page_head(const std::string& title) {

@@ -1,13 +1,15 @@
 // The report kit: what the self-contained, zero-script HTML dashboards
 // (scale, memory, execution and time-series) share — one page head with
 // one stylesheet (light/dark via prefers-color-scheme), card scaffolding,
-// and the number formatting every inline-SVG chart uses — plus the shard
+// the number formatting every inline-SVG chart uses and the histogram
+// chart the scale and memory dashboards share — plus the shard
 // label and histogram bucket every JSON report shares. Output is a pure
 // function of the arguments, so reports stay byte-identical for a given
 // profiler state.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 
@@ -33,6 +35,12 @@ std::string fmt_compact(double v);
 /// Opens a `card` div with its heading and, unless empty, a stats line
 /// (`note` is raw HTML). The caller closes the div.
 void open_card(std::string& out, const std::string& heading, const std::string& note);
+
+/// A power-of-two histogram (bucket from log2_bucket -> count) as an
+/// inline-SVG bar chart, one bar per bucket; each bar's tooltip reads
+/// "<count> <unit>". Draws nothing for an empty or all-zero histogram.
+void histogram_svg(std::string& out, const std::map<std::uint32_t, std::uint64_t>& hist,
+                   const char* unit);
 
 /// Everything up to and including the page's <h1>`title`</h1>: doctype,
 /// head, the shared stylesheet, and the opening `viz-root` div.

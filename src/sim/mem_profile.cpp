@@ -1,7 +1,6 @@
 #include "sim/mem_profile.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "sim/html.hpp"
 #include "sim/json.hpp"
@@ -40,18 +39,11 @@ void write_histogram(JsonWriter& w, const char* key,
 
 }  // namespace
 
-void MemProfiler::set_tick(Duration tick) {
-  if (tick.as_nanos() <= 0) {
-    throw std::invalid_argument("MemProfiler: tick must be positive");
-  }
-  tick_ = tick;
-}
-
 void MemProfiler::sample_timeline() {
   // Re-resolved on any change of row, not only forward: sim time restarts
   // at 0 when the next simulator this profiler watches starts.
   TimelineCell& t = *timeline_cell_;
-  const std::int64_t tick = cur_time_ns_ / tick_.as_nanos();
+  const std::int64_t tick = cur_time_ns_ / kTick.as_nanos();
   if (t.cell == nullptr || t.tick != tick) t = TimelineCell{tick, &timeline_[tick]};
   *t.cell = std::max(*t.cell, live_);
 }
@@ -403,7 +395,7 @@ std::string MemProfiler::report_json() const {
   w.end_array();
 
   w.key("timeline").begin_object();
-  w.key("tick_ns").value(static_cast<std::int64_t>(tick_.as_nanos()));
+  w.key("tick_ns").value(kTick.as_nanos());
   w.key("points").begin_array();
   for (const auto& [t, v] : timeline_) {
     w.begin_object();
@@ -419,43 +411,6 @@ std::string MemProfiler::report_json() const {
 }
 
 // --------------------------------------------------------------- dashboard
-
-namespace {
-
-
-/// One labelled power-of-two histogram card body (shared by the four
-/// lifetime charts and the hops chart).
-void histogram_svg(std::string& out, const std::map<std::uint32_t, std::uint64_t>& hist,
-                   const char* unit) {
-  if (hist.empty()) return;
-  std::uint64_t mx = 0;
-  for (const auto& [b, n] : hist) {
-    (void)b;
-    mx = std::max(mx, n);
-  }
-  if (mx == 0) return;
-  const std::size_t n = hist.size();
-  constexpr double kW = 760, kH = 140, kML = 46, kMB = 24;
-  const double bw = (kW - kML - 14) / static_cast<double>(n);
-  out += "<svg viewBox=\"0 0 " + fmt2(kW) + " " + fmt2(kH) + "\" role=\"img\">\n";
-  std::size_t i = 0;
-  for (const auto& [b, cnt] : hist) {
-    const double h = (kH - kMB - 10) * static_cast<double>(cnt) / static_cast<double>(mx);
-    const double x = kML + bw * static_cast<double>(i);
-    out += "<rect class=\"bar\" x=\"" + fmt2(x + 2) + "\" y=\"" + fmt2(kH - kMB - h) +
-           "\" width=\"" + fmt2(bw - 4) + "\" height=\"" + fmt2(h) + "\"><title>" +
-           std::to_string(cnt) + " " + unit + "</title></rect>\n";
-    const std::string label =
-        b == 0 ? std::string("0")
-               : "&#8804;" + fmt_compact(static_cast<double>((1ull << b) - 1));
-    out += "<text class=\"tick\" x=\"" + fmt2(x + bw / 2) + "\" y=\"" + fmt2(kH - 8) +
-           "\" text-anchor=\"middle\">" + label + "</text>\n";
-    ++i;
-  }
-  out += "</svg>\n";
-}
-
-}  // namespace
 
 std::string mem_dashboard(const MemProfiler& mp, const std::string& title) {
   std::string out = page_head(title);
@@ -483,7 +438,7 @@ std::string mem_dashboard(const MemProfiler& mp, const std::string& title) {
     const auto& tl = mp.timeline();
     open_card(out, "Live-bytes timeline",
               "max modeled live bytes per " +
-                  html_escape(fmt_compact(static_cast<double>(mp.tick().as_nanos()) * 1e-6)) +
+                  html_escape(fmt_compact(MemProfiler::kTick.as_millis())) +
                   " ms tick &#183; peak <b>" +
                   html_escape(fmt_compact(static_cast<double>(mp.peak_live_bytes()))) +
                   "</b>");

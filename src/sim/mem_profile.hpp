@@ -84,11 +84,8 @@ inline constexpr std::uint64_t kDispatchChaseHops = 3;
 
 class MemProfiler : public Observer {
  public:
-  // --- configuration (set before recording) -------------------------------
-  /// Tick interval for the live-bytes timeline grid (default 10 ms of sim
-  /// time). Must be positive; applies to samples recorded afterwards.
-  void set_tick(Duration tick);
-  Duration tick() const noexcept { return tick_; }
+  /// Tick interval for the live-bytes timeline grid: 10 ms of sim time.
+  static constexpr Duration kTick = Duration::millis(10);
 
   // --- observer hooks ------------------------------------------------------
   /// An event was scheduled: counts one event-control-block allocation
@@ -290,8 +287,7 @@ class MemProfiler : public Observer {
   void sample_timeline();
   void add_live(std::int64_t delta);
 
-  // --- configuration / in-flight state ---
-  Duration tick_ = Duration::millis(10);
+  // --- in-flight state ---
   PendingTable<PendingEvent> pending_;
   std::map<std::uint64_t, PendingPacket> pending_packets_;
   /// "sim.event/<component>" per component seen, in first-seen order; the

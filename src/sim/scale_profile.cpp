@@ -1,7 +1,6 @@
 #include "sim/scale_profile.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "sim/html.hpp"
 #include "sim/json.hpp"
@@ -22,13 +21,6 @@ void assign_tag_label(std::string& out, const TaskTag& tag) {
 constexpr std::uint64_t kCurve[] = {1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64};
 
 }  // namespace
-
-void ScaleProfiler::set_tick(Duration tick) {
-  if (tick.as_nanos() <= 0) {
-    throw std::invalid_argument("ScaleProfiler: tick must be positive");
-  }
-  tick_ = tick;
-}
 
 void ScaleProfiler::on_schedule(EventId id, SimTime now, SimTime /*at*/,
                                 const TaskTag& /*tag*/, ShardId origin) {
@@ -52,7 +44,7 @@ void ScaleProfiler::begin_event(EventId id, SimTime now, std::size_t queue_depth
       (void)pair;
       if (w == 0 || lat < w) w = lat;
     }
-    if (w <= 0) w = tick_.as_nanos();
+    if (w <= 0) w = kTick.as_nanos();
     frozen_window_ns_ = w;
   }
   in_event_ = true;
@@ -82,7 +74,7 @@ void ScaleProfiler::end_event(ShardId shard) {
   *c.events += 1;
   // A row is re-resolved on any change, not only forward: sim time
   // restarts at 0 when the next simulator this profiler watches starts.
-  const std::int64_t tick = cur_time_ns_ / tick_.as_nanos();
+  const std::int64_t tick = cur_time_ns_ / kTick.as_nanos();
   if (c.tick_cell == nullptr || c.tick != tick) {
     c.tick = tick;
     c.tick_cell = &tick_load_[{tick, shard}];
@@ -383,7 +375,7 @@ std::string ScaleProfiler::report_json() const {
   w.end_object();
 
   w.key("shard_load").begin_object();
-  w.key("tick_ns").value(static_cast<std::int64_t>(tick_.as_nanos()));
+  w.key("tick_ns").value(kTick.as_nanos());
   w.key("cells").begin_array();
   for (const auto& [key, n] : tick_load_) {
     w.begin_object();
@@ -505,7 +497,7 @@ std::string scale_dashboard(const ScaleProfiler& sp, const std::string& title) {
     shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
     open_card(out, "Shard load heatmap",
               "events per shard per " +
-                  html_escape(fmt_compact(static_cast<double>(sp.tick().as_nanos()) * 1e-6)) +
+                  html_escape(fmt_compact(ScaleProfiler::kTick.as_millis())) +
                   " ms tick &#183; darker = busier (max <b>" +
                   html_escape(fmt_compact(static_cast<double>(mx))) + "</b>)");
     if (!load.empty() && mx > 0) {
@@ -663,33 +655,7 @@ std::string scale_dashboard(const ScaleProfiler& sp, const std::string& title) {
                   "</b> &#183; mean <b>" + html_escape(fmt_compact(q.mean_depth)) +
                   "</b> over " + html_escape(fmt_compact(static_cast<double>(q.samples))) +
                   " dispatches");
-    if (!q.histogram.empty()) {
-      std::uint64_t mx = 0;
-      for (const auto& [b, n] : q.histogram) {
-        (void)b;
-        mx = std::max(mx, n);
-      }
-      const std::size_t n = q.histogram.size();
-      constexpr double kW = 760, kH = 140, kML = 46, kMB = 24;
-      const double bw = (kW - kML - 14) / static_cast<double>(n);
-      out += "<svg viewBox=\"0 0 " + fmt2(kW) + " " + fmt2(kH) + "\" role=\"img\">\n";
-      std::size_t i = 0;
-      for (const auto& [b, cnt] : q.histogram) {
-        const double h =
-            (kH - kMB - 10) * static_cast<double>(cnt) / static_cast<double>(mx);
-        const double x = kML + bw * static_cast<double>(i);
-        out += "<rect class=\"bar\" x=\"" + fmt2(x + 2) + "\" y=\"" +
-               fmt2(kH - kMB - h) + "\" width=\"" + fmt2(bw - 4) + "\" height=\"" +
-               fmt2(h) + "\"><title>" + std::to_string(cnt) + " dispatches</title></rect>\n";
-        const std::string label =
-            b == 0 ? std::string("0")
-                   : "&#8804;" + fmt_compact(static_cast<double>((1ull << b) - 1));
-        out += "<text class=\"tick\" x=\"" + fmt2(x + bw / 2) + "\" y=\"" +
-               fmt2(kH - 8) + "\" text-anchor=\"middle\">" + label + "</text>\n";
-        ++i;
-      }
-      out += "</svg>\n";
-    }
+    histogram_svg(out, q.histogram, "dispatches");
     out += "</div>\n";
   }
 

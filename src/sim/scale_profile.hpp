@@ -68,11 +68,8 @@ namespace tussle::sim {
 
 class ScaleProfiler : public Observer {
  public:
-  // --- configuration (set before recording) -------------------------------
-  /// Tick interval for the shard-load time grid (default 10 ms of sim
-  /// time). Must be positive; applies to events recorded afterwards.
-  void set_tick(Duration tick);
-  Duration tick() const noexcept { return tick_; }
+  /// Tick interval for the shard-load time grid: 10 ms of sim time.
+  static constexpr Duration kTick = Duration::millis(10);
 
   // --- observer hooks ------------------------------------------------------
   /// An event was scheduled: `id` names it, `now` is the schedule time,
@@ -217,8 +214,7 @@ class ScaleProfiler : public Observer {
   const std::string& tail_label() const noexcept;
   std::int64_t tail_time_ns() const noexcept;
 
-  // --- configuration / in-flight state ---
-  Duration tick_ = Duration::millis(10);
+  // --- in-flight state ---
   PendingTable<Pending> pending_;
   bool in_event_ = false;
   Pending cur_;                 ///< the dispatching event's pending record

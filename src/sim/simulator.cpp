@@ -19,7 +19,6 @@ constinit thread_local ExecCtx* t_exec_ctx = nullptr;
 void set_exec_ctx(ExecCtx* ctx) noexcept { t_exec_ctx = ctx; }
 }  // namespace detail
 
-EventQueue& ExecutionBackend::base_queue() noexcept { return sim_->queue_; }
 SimTime ExecutionBackend::base_now() const noexcept { return sim_->now_; }
 void ExecutionBackend::set_base_now(SimTime t) noexcept { sim_->now_ = t; }
 std::uint64_t ExecutionBackend::sim_seed() const noexcept { return sim_->seed_; }
@@ -63,7 +62,10 @@ EventId SerialBackend::schedule_for(ShardId owner, SimTime at, TaskTag tag,
 
 bool SerialBackend::cancel(EventId id) { return sim().serial_cancel(id); }
 std::size_t SerialBackend::pending() const { return sim().queue_.size(); }
-std::size_t SerialBackend::run(SimTime horizon) { return sim().serial_run(horizon); }
+std::size_t SerialBackend::run(SimTime horizon) {
+  if (heartbeat_active()) heartbeat_begin_run();
+  return sim().serial_run(horizon);
+}
 bool SerialBackend::step() { return sim().serial_step(); }
 
 void Simulator::set_backend(std::unique_ptr<ExecutionBackend> backend) {
@@ -230,12 +232,6 @@ std::size_t Simulator::serial_run(SimTime horizon) {
   stopping_.store(false, std::memory_order_relaxed);
   const std::int64_t exec_start_ns = now_.as_nanos();
   const double exec_wall = exec_ != nullptr ? wall_now_seconds() : 0;
-  if (heartbeat_) {
-    run_wall_start_ = wall_now_seconds();
-    last_beat_wall_ = run_wall_start_;
-    last_beat_events_ = executed_;
-    next_heartbeat_ = now_ + heartbeat_period_;
-  }
   std::size_t n = 0;
   while (!queue_.empty() && !stopping_.load(std::memory_order_relaxed)) {
     if (queue_.next_time() > horizon) break;

@@ -1,13 +1,16 @@
 // bench::run exit codes: every requested export must land on disk or fail
-// the process loudly, and an audit violation keeps its own exit code. And
-// the serial-backend rule: flags whose reports model one global event
-// stream write the serial report under --shards.
+// the process loudly, and an audit violation keeps its own exit code. Every
+// option is accepted in its valid form and a malformed or missing argument
+// exits 2 with the usage text. And the serial-backend rule: flags whose
+// reports model one global event stream write the serial report under
+// --shards.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness.hpp"
@@ -48,6 +51,100 @@ TEST(HarnessExit, WritableJsonPathExitsZeroAndWritesTheReport) {
 
 TEST(HarnessExit, AuditViolationExitsOne) {
   EXPECT_EQ(run_args({}, [](Harness&) { throw sim::ShardViolation("violation", {}); }), 1);
+}
+
+/// Every option in a valid form: nullptr for a switch, and a value that
+/// starts with '@' names a file under the test's temp dir.
+const std::pair<const char*, const char*> kEveryOption[] = {
+    {"--list", nullptr},
+    {"--case", "trivial"},
+    {"--replicas", "2"},
+    {"--seed", "7"},
+    {"--jobs", "1"},
+    {"--shards", "1"},
+    {"--json", "@report.json"},
+    {"--trace", "@trace.jsonl"},
+    {"--trace-level", "debug"},
+    {"--profile", nullptr},
+    {"--heartbeat", "0.5"},
+    {"--chrome-trace", "@chrome.json"},
+    {"--span-tree", "@spans.txt"},
+    {"--explain", "1"},
+    {"--timeseries", "0.5"},
+    {"--ts-csv", "@ts.csv"},
+    {"--ts-json", "@ts.json"},
+    {"--dashboard", "@ts.html"},
+    {"--audit", nullptr},
+    {"--audit-json", "@audit.json"},
+    {"--scale-profile", nullptr},
+    {"--scale-json", "@scale.json"},
+    {"--scale-dashboard", "@scale.html"},
+    {"--exec-profile", nullptr},
+    {"--exec-json", "@exec.json"},
+    {"--exec-trace", "@exec.trace.json"},
+    {"--exec-dashboard", "@exec.html"},
+    {"--mem-profile", nullptr},
+    {"--mem-json", "@mem.json"},
+    {"--mem-dashboard", "@mem.html"},
+};
+
+void trivial_case(Harness& h) {
+  core::ScenarioSpec spec;
+  spec.name = "trivial";
+  spec.body = [](core::RunContext& ctx) { ctx.put("value", 1); };
+  h.scenario(spec);
+}
+
+TEST(HarnessOptions, EveryOptionInAValidFormExitsZero) {
+  ASSERT_EQ(std::size(kEveryOption), 30u);
+  const fs::path dir = fs::temp_directory_path() / "tussle-harness-options";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  for (const auto& [name, value] : kEveryOption) {
+    std::vector<std::string> args{name};
+    fs::path file;
+    if (value != nullptr && value[0] == '@') file = dir / (value + 1);
+    if (value != nullptr) args.push_back(file.empty() ? value : file.string());
+    EXPECT_EQ(run_args(args, trivial_case), 0) << name;
+    if (!file.empty()) {
+      EXPECT_TRUE(fs::exists(file)) << name;
+    }
+  }
+  fs::remove_all(dir);
+}
+
+TEST(HarnessOptions, EveryValueOptionGivenLastExitsTwo) {
+  int value_options = 0;
+  for (const auto& [name, value] : kEveryOption) {
+    if (value == nullptr) continue;
+    ++value_options;
+    EXPECT_EQ(run_args({name}, trivial_case), 2) << name;
+  }
+  EXPECT_EQ(value_options, 24);
+}
+
+TEST(HarnessOptions, MalformedOrOutOfRangeArgumentsExitTwo) {
+  const std::vector<std::vector<std::string>> bad = {
+      // Malformed numbers: each of these once ran with a number never typed.
+      {"--seed", "abc"}, {"--jobs", "2x"}, {"--replicas", "two"}, {"--shards", "x"},
+      {"--explain", "flow"}, {"--heartbeat", "1s"}, {"--timeseries", "0.5s"},
+      {"--seed", "-1"}, {"--replicas", "+2"}, {"--seed", ""}, {"--seed", "99999999999999999999"},
+      {"--heartbeat", "inf"}, {"--timeseries", "nan"},
+      // Out of range, or not one of the words.
+      {"--jobs", "0"}, {"--replicas", "-1"}, {"--timeseries", "0"}, {"--heartbeat", "-2"},
+      {"--trace-level", "loud"}, {"--no-such-option"}};
+  for (const auto& args : bad) {
+    EXPECT_EQ(run_args(args, trivial_case), 2) << args[0] << " " << args.back();
+  }
+}
+
+TEST(HarnessOptions, UsageNamesEveryOption) {
+  testing::internal::CaptureStderr();
+  ASSERT_EQ(run_args({"--jobs", "2x"}, trivial_case), 2);
+  const std::string usage = testing::internal::GetCapturedStderr();
+  for (const auto& [name, value] : kEveryOption) {
+    EXPECT_NE(usage.find(std::string(name) + (value ? " " : "\n")), std::string::npos) << name;
+  }
 }
 
 /// One case: a two-AS link carrying three probes per run, instrumented the

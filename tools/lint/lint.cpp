@@ -104,8 +104,10 @@
 // <path-suffix> (matched at a path-component boundary); if a line-substring
 // is given, only findings whose source line contains it. The justification
 // is mandatory and is emitted into the JSON report, so a committed report
-// (SHARD_SAFETY.json) enumerates each audited exception with its reason. An
-// entry that silences nothing fails the run, so the list cannot rot.
+// (SHARD_SAFETY.json) enumerates each audited exception with its reason. The
+// report gives findings a line but allowlisted entries none, so moving an
+// exception leaves the report as it was. An entry that silences nothing
+// fails the run, so the list cannot rot.
 //
 // Usage: lint detlint|sharedlint [--allowlist FILE] [--json FILE] DIR...
 // Exit:  0 clean, 1 unallowlisted findings or unused allowlist entries,
@@ -888,13 +890,15 @@ const AllowEntry* find_allowed(const Finding& f, const std::vector<AllowEntry>& 
   return nullptr;
 }
 
-void write_finding_json(std::ostream& os, const Finding& f, bool with_justification) {
-  os << "    {\"check\": \"" << json_escape(f.check) << "\", \"file\": \""
-     << json_escape(f.file) << "\", \"line\": " << f.line << ", \"message\": \""
-     << json_escape(f.message) << "\", \"source\": \"" << json_escape(f.source_line) << "\"";
-  if (with_justification) {
-    os << ", \"justification\": \"" << json_escape(f.justification) << "\"";
-  }
+/// A finding keeps its line; an allowlisted entry does not, so an edit above
+/// an audited exception leaves a committed report unchanged.
+void write_finding_json(std::ostream& os, const Finding& f, bool allowlisted) {
+  os << "    {\"check\": \"" << json_escape(f.check) << "\", \"file\": \"" << json_escape(f.file)
+     << "\"";
+  if (!allowlisted) os << ", \"line\": " << f.line;
+  os << ", \"message\": \"" << json_escape(f.message) << "\", \"source\": \""
+     << json_escape(f.source_line) << "\"";
+  if (allowlisted) os << ", \"justification\": \"" << json_escape(f.justification) << "\"";
   os << "}";
 }
 
