@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <optional>
+#include <vector>
 
 #include "core/tussle.hpp"
 #include "sim/mem_profile.hpp"
@@ -103,57 +104,104 @@ void BM_SimulatorEventDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorEventDispatch);
 
-/// The observers capture-observed attaches, in its order: the shard
-/// auditor, then the scale and memory profilers.
+/// Which observers a world attaches, in capture-observed's order: the
+/// shard auditor, then the scale and memory profilers.
+enum ObserverSet : unsigned { kBare = 0, kAudit = 1, kScale = 2, kMem = 4, kAll = 7 };
+
+/// The observers of one world. A profiler attached without kAudit still
+/// gets an auditor, fail-soft, for its shard attribution, as the sweep
+/// attaches the profilers.
 struct Observers {
   sim::ShardAuditor audit;
   sim::ScaleProfiler scale;
   sim::MemProfiler mem;
 
-  explicit Observers(sim::Simulator& sim) {
+  void attach(sim::Simulator& sim, unsigned set) {
+    audit.set_fail_fast((set & kAudit) != 0);
     sim.set_auditor(&audit);
-    sim.set_scale_profiler(&scale);
-    sim.set_mem_profiler(&mem);
+    if ((set & kScale) != 0) sim.set_scale_profiler(&scale);
+    if ((set & kMem) != 0) sim.set_mem_profiler(&mem);
   }
 };
 
-// 100 packets down a line of `hops` nodes, with the observers attached
-// before the world is built (as RunContext::instrument does) or not at all.
-void forwarding_line(benchmark::State& state, bool observed) {
+// 100 packets down a line of `hops` nodes, with the observers in `set`
+// attached to `obs` before the world is built (as RunContext::instrument
+// does), or none.
+std::int64_t run_line(std::size_t hops, Observers* obs, unsigned set) {
+  sim::Simulator sim;
+  if (obs != nullptr) obs->attach(sim, set);
+  net::Network net(sim);
+  net::LinkSpec spec;
+  spec.bandwidth_bps = 1e12;  // effectively free links: measure CPU path
+  spec.propagation = sim::Duration::nanos(1);
+  auto ids = net::build_line(net, hops, 1, spec);
+  net::Address dst{.provider = 1, .subscriber = 9, .host = 9};
+  net.node(ids.back()).add_address(dst);
+  for (auto id : ids) net.node(id).forwarding().set_default_route(
+      id == ids.front() ? 0 : static_cast<net::IfIndex>(net.node(id).interface_count() - 1));
+  for (int i = 0; i < 100; ++i) {
+    net::Packet p;
+    p.dst = dst;
+    p.ttl = 255;
+    net.node(ids.front()).originate(std::move(p));
+  }
+  sim.run();
+  return net.counters().delivered.value();
+}
+
+void forwarding_line(benchmark::State& state, unsigned set) {
   const auto hops = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    sim::Simulator sim;
     std::optional<Observers> observers;
-    if (observed) observers.emplace(sim);
-    net::Network net(sim);
-    net::LinkSpec spec;
-    spec.bandwidth_bps = 1e12;  // effectively free links: measure CPU path
-    spec.propagation = sim::Duration::nanos(1);
-    auto ids = net::build_line(net, hops, 1, spec);
-    net::Address dst{.provider = 1, .subscriber = 9, .host = 9};
-    net.node(ids.back()).add_address(dst);
-    for (auto id : ids) net.node(id).forwarding().set_default_route(
-        id == ids.front() ? 0 : static_cast<net::IfIndex>(net.node(id).interface_count() - 1));
-    for (int i = 0; i < 100; ++i) {
-      net::Packet p;
-      p.dst = dst;
-      p.ttl = 255;
-      net.node(ids.front()).originate(std::move(p));
-    }
-    sim.run();
-    benchmark::DoNotOptimize(net.counters().delivered.value());
+    if (set != kBare) observers.emplace();
+    benchmark::DoNotOptimize(run_line(hops, observers ? &*observers : nullptr, set));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 100 *
                           static_cast<std::int64_t>(hops));
 }
 
-void BM_PacketForwardingLine(benchmark::State& state) { forwarding_line(state, false); }
+void BM_PacketForwardingLine(benchmark::State& state) { forwarding_line(state, kBare); }
 BENCHMARK(BM_PacketForwardingLine)->Arg(8)->Arg(32);
 
 // The same line with the observers attached: their hooks per event and per
 // hop, and their per-world set-up, without the rest of the capture world.
-void BM_ObservedForwardingLine(benchmark::State& state) { forwarding_line(state, true); }
+void BM_ObservedForwardingLine(benchmark::State& state) { forwarding_line(state, kAll); }
 BENCHMARK(BM_ObservedForwardingLine)->Arg(8);
+
+// Each observer alone, so a change to one shows in its own row: the
+// auditor (fail-fast, as --audit runs it), and each profiler with the
+// fail-soft auditor the sweep gives it.
+void BM_AuditedForwardingLine(benchmark::State& state) { forwarding_line(state, kAudit); }
+BENCHMARK(BM_AuditedForwardingLine)->Arg(8);
+void BM_ScaleProfiledForwardingLine(benchmark::State& state) {
+  forwarding_line(state, kScale);
+}
+BENCHMARK(BM_ScaleProfiledForwardingLine)->Arg(8);
+void BM_MemProfiledForwardingLine(benchmark::State& state) { forwarding_line(state, kMem); }
+BENCHMARK(BM_MemProfiledForwardingLine)->Arg(8);
+
+// Sixteen recorded runs of the 8-hop line, all three observers each,
+// merged into one set whose reports are exported with report_json: the
+// work a sweep does after its runs, so a change that moves recording work
+// into merge or export shows here. Items are runs merged.
+void BM_ObserverMergeExport(benchmark::State& state) {
+  constexpr int kRuns = 16;
+  std::vector<Observers> runs(kRuns);
+  for (Observers& r : runs) run_line(8, &r, kAll);
+  for (auto _ : state) {
+    Observers merged;
+    for (const Observers& r : runs) {
+      merged.audit.merge(r.audit);
+      merged.scale.merge(r.scale);
+      merged.mem.merge(r.mem);
+    }
+    benchmark::DoNotOptimize(merged.audit.report_json().size() +
+                             merged.scale.report_json().size() +
+                             merged.mem.report_json().size());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kRuns);
+}
+BENCHMARK(BM_ObserverMergeExport);
 
 // Packet hops over one link, `burst` packets sent at once per iteration:
 // Link::transmit_from, the serialize event, the propagate event and the far

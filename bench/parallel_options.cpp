@@ -1,23 +1,8 @@
 #include "parallel_options.hpp"
 
-#include <cstdlib>
+#include "core/sweep.hpp"
 
 namespace tussle::bench {
-
-namespace {
-
-/// A positive integer from the environment, or nullopt (unset, empty,
-/// non-numeric, zero, and negative all mean "not configured").
-std::optional<std::uint64_t> env_positive(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return std::nullopt;
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(v, &end, 10);
-  if (end == v || *end != '\0' || n == 0) return std::nullopt;
-  return static_cast<std::uint64_t>(n);
-}
-
-}  // namespace
 
 ParallelOptions ParallelOptions::resolve(std::optional<std::uint64_t> seed_flag,
                                          std::optional<std::size_t> jobs_flag,
@@ -26,22 +11,22 @@ ParallelOptions ParallelOptions::resolve(std::optional<std::uint64_t> seed_flag,
   ParallelOptions o;
   if (seed_flag) {
     o.seed = *seed_flag;
-  } else if (auto e = env_positive("TUSSLE_SEED")) {
+  } else if (auto e = core::env_count("TUSSLE_SEED")) {
     o.seed = *e;
   }
   if (jobs_flag) {
     o.jobs = *jobs_flag;
-  } else if (auto e = env_positive("TUSSLE_JOBS")) {
+  } else if (auto e = core::env_count("TUSSLE_JOBS")) {
     o.jobs = static_cast<std::size_t>(*e);
   }
   if (replicas_flag) {
     o.replicas = *replicas_flag;
-  } else if (auto e = env_positive("TUSSLE_REPLICAS")) {
+  } else if (auto e = core::env_count("TUSSLE_REPLICAS")) {
     o.replicas = static_cast<std::size_t>(*e);
   }
   if (shards_flag) {
     o.shards = *shards_flag;
-  } else if (auto e = env_positive("TUSSLE_SHARDS")) {
+  } else if (auto e = core::env_count("TUSSLE_SHARDS")) {
     o.shards = static_cast<std::size_t>(*e);
   }
   return o;

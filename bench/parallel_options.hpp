@@ -28,8 +28,10 @@ struct ParallelOptions {
   std::size_t shards = 0;    ///< 0 = serial execution backend
 
   /// Applies the flag > environment > default ladder. Pass nullopt for any
-  /// flag the command line did not set. Environment values must be positive
-  /// integers; anything else is ignored (the default stands).
+  /// flag the command line did not set. Environment values are read by
+  /// core::env_count: digits only and positive, as the count options are;
+  /// anything else (a sign, a suffix, zero) is ignored and the default
+  /// stands.
   static ParallelOptions resolve(std::optional<std::uint64_t> seed_flag,
                                  std::optional<std::size_t> jobs_flag,
                                  std::optional<std::size_t> replicas_flag,

@@ -1,7 +1,9 @@
 #include "core/sweep.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <map>
 #include <mutex>
@@ -214,12 +216,19 @@ sim::MetricSet SweepResult::aggregate() const { return aggregate_range(runs, 0, 
 
 // ----------------------------------------------------------------- run_sweep
 
+std::optional<std::uint64_t> env_count(const char* name) noexcept {
+  const char* v = std::getenv(name);
+  if (v == nullptr) return std::nullopt;
+  const char* end = v + std::strlen(v);
+  std::uint64_t n = 0;
+  const auto [p, ec] = std::from_chars(v, end, n);
+  if (ec != std::errc() || p != end || n == 0) return std::nullopt;
+  return n;
+}
+
 std::size_t resolve_jobs(std::size_t requested) noexcept {
   if (requested > 0) return requested;
-  if (const char* env = std::getenv("TUSSLE_JOBS")) {
-    const long n = std::atol(env);
-    if (n > 0) return static_cast<std::size_t>(n);
-  }
+  if (const auto n = env_count("TUSSLE_JOBS")) return static_cast<std::size_t>(*n);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
 }

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -279,8 +280,15 @@ struct SweepResult {
 SweepResult run_sweep(const ScenarioSpec& spec, const SweepOptions& opts);
 inline SweepResult run_sweep(const ScenarioSpec& spec) { return run_sweep(spec, SweepOptions{}); }
 
-/// Resolves a jobs request (0 = auto) against $TUSSLE_JOBS and
-/// hardware_concurrency; always at least 1.
+/// A positive count from environment variable `name`: all digits (no
+/// sign, space or suffix, as the experiment binaries' count options read
+/// them), nonzero, and within 64 bits. nullopt otherwise: unset, empty,
+/// malformed, zero and negative all mean "not configured". The one reader
+/// of the TUSSLE_* knobs.
+std::optional<std::uint64_t> env_count(const char* name) noexcept;
+
+/// Resolves a jobs request (0 = auto) against $TUSSLE_JOBS (env_count)
+/// and hardware_concurrency; always at least 1.
 std::size_t resolve_jobs(std::size_t requested) noexcept;
 
 /// Named collection of scenario specs, so tools can enumerate and run

@@ -294,12 +294,20 @@ Link& Network::connect(NodeId a, NodeId b, double bits_per_second, sim::Duration
   return link;
 }
 
+std::uint32_t Network::mem_space(sim::MemProfiler& mp) {
+  if (&mp != mem_space_owner_) {
+    mem_space_owner_ = &mp;
+    mem_space_ = mp.open_packet_space();
+  }
+  return mem_space_;
+}
+
 void Network::emit(const PacketEvent& e) {
   const sim::SimTime now = sim_->now();
   switch (e.kind) {
     case PacketEventKind::kOriginate:
       counters().originated.add();
-      if (auto* mp = mem_profiler()) mp->packet_birth(e.uid, now, e.bytes);
+      if (auto* mp = mem_profiler()) mp->packet_birth(mem_space(*mp), e.uid, now, e.bytes);
       if (spans_ != nullptr) {
         spans_->annotate(spans_->packet_span(now, e.uid, e.flow), {"origin", e.node});
       }
@@ -330,7 +338,7 @@ void Network::emit(const PacketEvent& e) {
       NetCounters& ctr = counters();
       ctr.delivered.add();
       ctr.delivery_latency_s.observe(e.latency_s);
-      if (auto* mp = mem_profiler()) mp->packet_delivered(e.uid, now);
+      if (auto* mp = mem_profiler()) mp->packet_delivered(mem_space(*mp), e.uid, now);
       TUSSLE_TRACE_EVENT(tracer(), now, sim::TraceLevel::kInfo, "net.node", "deliver",
                          {"uid", e.uid}, {"flow", e.flow}, {"node", e.node},
                          {"latency_s", e.latency_s});
@@ -350,7 +358,7 @@ void Network::emit(const PacketEvent& e) {
     case DropReason::kQueueFull: ctr.dropped_queue.add(); break;
     case DropReason::kLinkDown: ctr.dropped_link_down.add(); break;
   }
-  if (auto* mp = mem_profiler()) mp->packet_dropped(e.uid, now);
+  if (auto* mp = mem_profiler()) mp->packet_dropped(mem_space(*mp), e.uid, now);
   sim::Tracer& tr = tracer();
   if (spans_ == nullptr && !tr.enabled_for(sim::TraceLevel::kInfo)) return;
   const std::string reason = e.reason == DropReason::kFilter

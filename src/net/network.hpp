@@ -261,6 +261,11 @@ class Network {
   bool fault_reporting() const noexcept { return fault_reporting_; }
 
  private:
+  /// This network's packet-uid space in `mp`, opened the first time `mp`
+  /// records one of its packets (uids restart with each Network; see
+  /// sim::MemProfiler::open_packet_space).
+  std::uint32_t mem_space(sim::MemProfiler& mp);
+
   sim::Simulator* sim_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Link>> links_;
@@ -269,6 +274,9 @@ class Network {
   PacketPool wire_;
   std::vector<DeliveryObserver> observers_;
   sim::SpanTracer* spans_ = nullptr;
+  /// The profiler mem_space_ was opened in; compared, never dereferenced.
+  const sim::MemProfiler* mem_space_owner_ = nullptr;
+  std::uint32_t mem_space_ = 0;
   bool fault_reporting_ = false;
 };
 

@@ -75,12 +75,13 @@ EventId EventQueue::push(SimTime at, Action&& action, TaskTag tag) {
   return EventId{id_base_ + seq + 1, index};  // ids start at 1 so {} is "no event"
 }
 
-bool EventQueue::cancel(EventId id) {
+bool EventQueue::cancel(EventId id, TaskTag* tag) {
   if (id.value <= id_base_ || id.slot >= slot_count_) return false;
   Slot& s = slot(id.slot);
   // A fired event's slot is free or holds a later event, and a cancelled
   // one carries kCancelled: either way the state differs from the seq.
   if (s.state != id.value - id_base_ - 1) return false;
+  if (tag != nullptr) *tag = s.tag;
   s.state |= kCancelled;
   ++tombstones_;
   // The action dies on return, once the queue is consistent again, so a

@@ -49,8 +49,8 @@
 // means "no event" and the default base keeps serial ids 1, 2, 3, ...; the
 // sharded backend routes cancel() by its high bits. EventId::slot names the
 // event's arena slot: unique among this queue's pending events and
-// tombstones, and reused once they leave it. Serial-only profilers index
-// their pending-event records by it (sim/observer.hpp).
+// tombstones, and reused once they leave it. The simulator indexes its
+// schedule records by it (sim/observer.hpp).
 //
 // Cancel is O(1) amortized: it compares the id's sequence number with the
 // slot's live occupant (a fired event's slot is free or reused, so stale ids
@@ -120,8 +120,9 @@ class EventQueue {
   /// Cancels a pending event in O(1) amortized time; a cancel that empties
   /// the near heap takes the next bucket or rebuilds the calendar (see the
   /// top of this file). Returns false if the event already fired, was
-  /// cancelled before, or never existed.
-  bool cancel(EventId id);
+  /// cancelled before, or never existed. On success, writes the event's tag
+  /// to `*tag` when `tag` is not null.
+  bool cancel(EventId id, TaskTag* tag = nullptr);
 
   /// A non-empty near heap has a live top; an empty one leaves the far
   /// tier, whose tombstones do not count.

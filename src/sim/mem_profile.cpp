@@ -1,6 +1,7 @@
 #include "sim/mem_profile.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/html.hpp"
 #include "sim/json.hpp"
@@ -15,7 +16,8 @@ std::uint32_t duration_bucket(std::int64_t ns) noexcept {
   return log2_bucket(ns > 0 ? static_cast<std::uint64_t>(ns) : 0u);
 }
 
-constexpr std::string_view kEventSitePrefix = "sim.event/";
+/// The component of an event scheduled without a tag.
+constexpr const char* kUntagged = "(untagged)";
 
 /// Component prefix of an allocation site: the text before the first '/'
 /// ("sim.event/net.link" pools under "sim.event", "net.packet" under
@@ -55,53 +57,37 @@ void MemProfiler::add_live(std::int64_t delta) {
   sample_timeline();
 }
 
-std::uint32_t MemProfiler::event_site(const TaskTag& tag) {
-  const std::string_view component = tag.component != nullptr ? tag.component : "(untagged)";
-  for (std::size_t i = 0; i < event_sites_.size(); ++i) {
-    if (std::string_view(event_sites_[i]).substr(kEventSitePrefix.size()) == component) {
-      return static_cast<std::uint32_t>(i);
-    }
-  }
-  event_sites_.push_back(std::string(kEventSitePrefix).append(component));
-  return static_cast<std::uint32_t>(event_sites_.size() - 1);
+MemProfiler::SiteStats& MemProfiler::event_site(const TaskTag& tag) {
+  const char* component = tag.component != nullptr ? tag.component : kUntagged;
+  return event_site_cells_->get(sites_, component, "sim.event/");
 }
 
-MemProfiler::SiteStats& MemProfiler::event_site_stats(std::uint32_t site) {
-  std::vector<SiteStats*>& cells = *event_site_cells_;
-  if (site >= cells.size()) cells.resize(event_sites_.size(), nullptr);
-  SiteStats*& cell = cells[site];
-  if (cell == nullptr) cell = &site_cells_->get(sites_, event_sites_[site]);
-  return *cell;
-}
-
-void MemProfiler::on_schedule(EventId id, SimTime now, SimTime /*at*/, const TaskTag& tag,
+void MemProfiler::on_schedule(EventId /*id*/, SimTime now, SimTime /*at*/, const TaskTag& tag,
                               ShardId /*origin*/) {
   ++scheduled_;
   cur_time_ns_ = std::max(cur_time_ns_, now.as_nanos());
-  const std::uint32_t site = event_site(tag);
-  alloc_at(event_site_stats(site), kEventControlBlockBytes);
-  pending_.put(id, PendingEvent{now.as_nanos(), site});
+  alloc_at(event_site(tag), kEventControlBlockBytes);
 }
 
-void MemProfiler::on_cancel(EventId id, SimTime now) {
+void MemProfiler::on_cancel(EventId /*id*/, SimTime now, const TaskTag& tag,
+                            const ScheduleRecord* rec) {
   ++cancelled_;
-  PendingEvent p;
-  if (!pending_.take(id, p)) return;  // scheduled before the profiler attached
-  const std::uint32_t b = duration_bucket(now.as_nanos() - p.sched_ns);
+  if (rec == nullptr) return;  // scheduled before the profiler attached
+  const std::uint32_t b = duration_bucket(now.as_nanos() - rec->sched_ns);
   ev_cancelled_cells_->get(ev_cancelled_hist_, b) += 1;
-  free_at(event_site_stats(p.site), kEventControlBlockBytes);
+  free_at(event_site(tag), kEventControlBlockBytes);
 }
 
-void MemProfiler::begin_event(EventId id, SimTime now, std::size_t queue_depth,
-                              const TaskTag& /*tag*/) {
+void MemProfiler::begin_event(EventId /*id*/, SimTime now, std::size_t queue_depth,
+                              const TaskTag& tag, const ScheduleRecord* rec) {
   in_event_ = true;
   cur_time_ns_ = now.as_nanos();
   cur_delta_ = 0;
   cur_hops_ = 0;
-  if (PendingEvent p; pending_.take(id, p)) {
-    const std::uint32_t b = duration_bucket(now.as_nanos() - p.sched_ns);
+  if (rec != nullptr) {
+    const std::uint32_t b = duration_bucket(now.as_nanos() - rec->sched_ns);
     ev_dispatched_cells_->get(ev_dispatched_hist_, b) += 1;
-    free_at(event_site_stats(p.site), kEventControlBlockBytes);
+    free_at(event_site(tag), kEventControlBlockBytes);
   }
   note_occupancy("sim.event_queue", static_cast<std::uint64_t>(queue_depth));
   note_hops("sim.dispatch", kDispatchChaseHops);
@@ -118,7 +104,6 @@ void MemProfiler::end_event(ShardId shard) {
   sm.events += 1;
   sm.live += cur_delta_;
   sm.peak_live = std::max(sm.peak_live, sm.live);
-  pending_.drained();
 }
 
 void MemProfiler::register_actor(const char* kind, std::uint64_t bytes) {
@@ -130,11 +115,11 @@ void MemProfiler::register_actor(const char* kind, std::uint64_t bytes) {
   count_alloc(kind, bytes);
 }
 
-void MemProfiler::count_alloc(std::string_view site, std::uint64_t bytes) {
+void MemProfiler::count_alloc(const char* site, std::uint64_t bytes) {
   alloc_at(site_cells_->get(sites_, site), bytes);
 }
 
-void MemProfiler::count_free(std::string_view site, std::uint64_t bytes) {
+void MemProfiler::count_free(const char* site, std::uint64_t bytes) {
   free_at(site_cells_->get(sites_, site), bytes);
 }
 
@@ -152,30 +137,85 @@ void MemProfiler::free_at(SiteStats& s, std::uint64_t bytes) {
   add_live(-static_cast<std::int64_t>(bytes));
 }
 
-void MemProfiler::packet_birth(std::uint64_t uid, SimTime now, std::uint64_t bytes) {
+void MemProfiler::packet_birth(std::uint32_t space, std::uint64_t uid, SimTime now,
+                               std::uint64_t bytes) {
   cur_time_ns_ = std::max(cur_time_ns_, now.as_nanos());
   count_alloc("net.packet", bytes);
   // First birth wins, mirroring first-death-wins below: encapsulation and
   // mirrored copies reuse the wire uid and must not restart the lifetime.
-  pending_packets_.try_emplace(uid, PendingPacket{now.as_nanos(), bytes});
+  packets_.open(PacketLives::Life{uid, space, now.as_nanos(), bytes});
 }
 
-void MemProfiler::packet_delivered(std::uint64_t uid, SimTime now) {
-  const auto it = pending_packets_.find(uid);
-  if (it == pending_packets_.end()) return;  // mirrored copy: first death won
-  const std::uint32_t b = duration_bucket(now.as_nanos() - it->second.birth_ns);
-  pkt_delivered_cells_->get(pkt_delivered_hist_, b) += 1;
-  count_free("net.packet", it->second.bytes);
-  pending_packets_.erase(it);
+void MemProfiler::packet_delivered(std::uint32_t space, std::uint64_t uid, SimTime now) {
+  packet_death(space, uid, now, pkt_delivered_hist_, *pkt_delivered_cells_);
 }
 
-void MemProfiler::packet_dropped(std::uint64_t uid, SimTime now) {
-  const auto it = pending_packets_.find(uid);
-  if (it == pending_packets_.end()) return;
-  const std::uint32_t b = duration_bucket(now.as_nanos() - it->second.birth_ns);
-  pkt_dropped_cells_->get(pkt_dropped_hist_, b) += 1;
-  count_free("net.packet", it->second.bytes);
-  pending_packets_.erase(it);
+void MemProfiler::packet_dropped(std::uint32_t space, std::uint64_t uid, SimTime now) {
+  packet_death(space, uid, now, pkt_dropped_hist_, *pkt_dropped_cells_);
+}
+
+void MemProfiler::packet_death(std::uint32_t space, std::uint64_t uid, SimTime now,
+                               std::map<std::uint32_t, std::uint64_t>& hist,
+                               BucketCells& cells) {
+  PacketLives::Life life;
+  if (!packets_.close(space, uid, life)) return;  // mirrored copy: first death won
+  cells.get(hist, duration_bucket(now.as_nanos() - life.birth_ns)) += 1;
+  count_free("net.packet", life.bytes);
+}
+
+// ------------------------------------------------------------ packet lives
+
+std::size_t MemProfiler::PacketLives::home(std::uint32_t space,
+                                           std::uint64_t uid) const noexcept {
+  // Fibonacci hashing: uids are consecutive, and the product's top bits
+  // spread them over the table.
+  const std::uint64_t key = uid ^ (static_cast<std::uint64_t>(space) << 40);
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+}
+
+void MemProfiler::PacketLives::open(const Life& life) {
+  if (2 * (size_ + 1) > slots_.size()) grow();
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home(life.space, life.uid);
+  while (slots_[i].space != 0) {
+    if (slots_[i].space == life.space && slots_[i].uid == life.uid) return;
+    i = (i + 1) & mask;
+  }
+  slots_[i] = life;
+  ++size_;
+}
+
+bool MemProfiler::PacketLives::close(std::uint32_t space, std::uint64_t uid, Life& out) {
+  if (size_ == 0) return false;
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t hole = home(space, uid);
+  while (slots_[hole].space != space || slots_[hole].uid != uid) {
+    if (slots_[hole].space == 0) return false;
+    hole = (hole + 1) & mask;
+  }
+  out = slots_[hole];
+  // Backward shift: pull each later member of the run into the hole when
+  // its home does not lie between the hole and it.
+  for (std::size_t j = (hole + 1) & mask; slots_[j].space != 0; j = (j + 1) & mask) {
+    const std::size_t h = home(slots_[j].space, slots_[j].uid);
+    if (((j - h) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole].space = 0;
+  --size_;
+  return true;
+}
+
+void MemProfiler::PacketLives::grow() {
+  std::vector<Life> old = std::move(slots_);
+  slots_.assign(std::max<std::size_t>(64, 2 * old.size()), Life{});
+  shift_ = 64 - std::countr_zero(slots_.size());
+  size_ = 0;
+  for (const Life& l : old) {
+    if (l.space != 0) open(l);
+  }
 }
 
 void MemProfiler::note_hops(const char* component, std::uint64_t hops) {

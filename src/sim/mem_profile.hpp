@@ -42,20 +42,21 @@
 //    lanes, so it runs on the serial backend only (ShardedBackend::run()
 //    refuses it).
 //
-// Per-event cost: no allocation once warm, except packet_birth's lifetime
-// record (one map node per packet). A pending event's record sits in a
-// table indexed by its queue slot (sim/observer.hpp) and names its
-// "sim.event/<component>" site by an index resolved once per component;
-// sites, chase and occupancy cells are found by content in short lists of
-// the names seen, histogram cells per bucket, shard cells per shard, and
-// the timeline cell per tick row.
+// Per-event cost: no allocation once warm, per event or per packet. The
+// simulator hands the profiler each event's schedule record (its schedule
+// time; see sim/observer.hpp), so the profiler keeps no pending-event
+// table, and the event's "sim.event/<component>" site is found from its
+// tag. A packet's lifetime sits in a flat open-addressing table keyed by
+// (uid space, uid), sized by the packets in flight. Sites, chase and
+// occupancy cells are found by the name literal's address in short lists
+// (the literal contract of sim/observer.hpp), histogram cells per bucket,
+// shard cells per shard, and the timeline cell per tick row.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <map>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -94,43 +95,57 @@ class MemProfiler : public Observer {
   void on_schedule(EventId id, SimTime now, SimTime at, const TaskTag& tag,
                    ShardId origin) override;
   /// A pending event was cancelled before firing: closes its lifetime into
-  /// the cancelled histogram and frees its control block.
-  void on_cancel(EventId id, SimTime now) override;
+  /// the cancelled histogram and frees its control block. An event without
+  /// a record (scheduled before the profiler attached) has neither.
+  void on_cancel(EventId id, SimTime now, const TaskTag& tag,
+                 const ScheduleRecord* rec) override;
   /// Dispatch is about to run event `id`: closes its lifetime into the
-  /// dispatched histogram, frees its control block, samples event-queue
-  /// occupancy, and opens the per-dispatch chase/churn window.
-  void begin_event(EventId id, SimTime now, std::size_t queue_depth,
-                   const TaskTag& tag) override;
+  /// dispatched histogram, frees its control block (both only with a
+  /// record), samples event-queue occupancy, and opens the per-dispatch
+  /// chase/churn window.
+  void begin_event(EventId id, SimTime now, std::size_t queue_depth, const TaskTag& tag,
+                   const ScheduleRecord* rec) override;
   /// The event's handler returned; `shard` is the shard the ShardAuditor
   /// saw claim it (kNoShard when unclaimed or no auditor is attached).
   /// Attributes the dispatch's live-bytes delta to that shard.
   void end_event(ShardId shard) override;
+  bool reads_schedule_records() const override { return true; }
   // No make_lane(): a packet is born and dies on different owners and a
   // run has one peak, so per-owner lanes cannot hold the footprint — the
   // profiler runs on the serial backend only.
 
   // --- accounting hooks (components) ---------------------------------------
+  // Every kind, site, component and container name below is a string
+  // literal, or text that outlives the profiler and never changes (the
+  // literal contract of sim/observer.hpp): cells are found by address.
+
   /// Counts one long-lived actor of `kind` at an estimated resident size;
   /// actor bytes enter the live-bytes account (they are allocated and stay).
   void register_actor(const char* kind, std::uint64_t bytes);
   /// Counts one allocation of `site` at `bytes` model bytes into the
   /// live-bytes account.
-  void count_alloc(std::string_view site, std::uint64_t bytes);
+  void count_alloc(const char* site, std::uint64_t bytes);
   /// Counts one free of `site`; live-bytes go down by `bytes`.
-  void count_free(std::string_view site, std::uint64_t bytes);
+  void count_free(const char* site, std::uint64_t bytes);
 
   // --- packet lifetimes -----------------------------------------------------
+  /// A fresh packet-uid space. Packet uids restart with each net::Network,
+  /// so every Network that reports packets here asks for its own space and
+  /// names its packets by (space, uid): a world stopped at a horizon leaves
+  /// its in-flight packets open, and they never answer for the next
+  /// world's packets.
+  std::uint32_t open_packet_space() noexcept { return ++packet_spaces_; }
   /// A packet was originated (uid assigned): opens its birth→death lifetime
-  /// and counts its allocation under "net.packet". Tunnel decapsulation
-  /// keeps the wire uid, so a tunneled packet has exactly one identity and
-  /// one lifetime end-to-end.
-  void packet_birth(std::uint64_t uid, SimTime now, std::uint64_t bytes);
+  /// and counts its allocation under "net.packet". First birth wins:
+  /// tunnel decapsulation and mirrored copies keep the wire uid, so a
+  /// packet has exactly one identity and one lifetime end-to-end.
+  void packet_birth(std::uint32_t space, std::uint64_t uid, SimTime now, std::uint64_t bytes);
   /// The packet reached its destination. First death wins: mirrored copies
   /// share the original's uid, and only the first deliver/drop closes the
   /// lifetime; later deaths of the same uid are ignored.
-  void packet_delivered(std::uint64_t uid, SimTime now);
+  void packet_delivered(std::uint32_t space, std::uint64_t uid, SimTime now);
   /// The packet was dropped (filter, ttl, no-route, queue-full, link-down).
-  void packet_dropped(std::uint64_t uid, SimTime now);
+  void packet_dropped(std::uint32_t space, std::uint64_t uid, SimTime now);
 
   // --- locality hooks -------------------------------------------------------
   /// Component `component` chased `hops` pointer indirections on the hot
@@ -261,13 +276,30 @@ class MemProfiler : public Observer {
   void merge(const MemProfiler& other);
 
  private:
-  struct PendingEvent {
-    std::int64_t sched_ns = 0;
-    std::uint32_t site = 0;  ///< index into event_sites_, freed at death
-  };
-  struct PendingPacket {
-    std::int64_t birth_ns = 0;
-    std::uint64_t bytes = 0;
+  /// Open packet lifetimes by (space, uid): open addressing with linear
+  /// probing, at most half full, and backward-shift deletion, so no
+  /// tombstones pile up and its size follows the packets in flight. It
+  /// never shrinks: a warm profiler allocates nothing per packet.
+  class PacketLives {
+   public:
+    struct Life {
+      std::uint64_t uid = 0;
+      std::uint32_t space = 0;  ///< 0: empty slot (spaces start at 1)
+      std::int64_t birth_ns = 0;
+      std::uint64_t bytes = 0;
+    };
+    /// Opens (space, uid)'s life unless one is open: first birth wins.
+    void open(const Life& life);
+    /// Moves (space, uid)'s open life into `out`. False, leaving `out`
+    /// alone, when none is open: first death won.
+    bool close(std::uint32_t space, std::uint64_t uid, Life& out);
+
+   private:
+    std::size_t home(std::uint32_t space, std::uint64_t uid) const noexcept;
+    void grow();
+    std::vector<Life> slots_;  ///< size 0 or a power of two
+    std::size_t size_ = 0;     ///< open lives
+    int shift_ = 64;           ///< 64 - log2(slots_.size())
   };
   struct ShardCell {
     ShardId shard = kNoShard;
@@ -279,20 +311,18 @@ class MemProfiler : public Observer {
   };
   static constexpr std::size_t kShardWays = 64;
 
-  /// Index of `tag`'s "sim.event/<component>" site in event_sites_.
-  std::uint32_t event_site(const TaskTag& tag);
-  SiteStats& event_site_stats(std::uint32_t site);
+  /// `tag`'s "sim.event/<component>" site.
+  SiteStats& event_site(const TaskTag& tag);
   void alloc_at(SiteStats& s, std::uint64_t bytes);
   void free_at(SiteStats& s, std::uint64_t bytes);
+  void packet_death(std::uint32_t space, std::uint64_t uid, SimTime now,
+                    std::map<std::uint32_t, std::uint64_t>& hist, BucketCells& cells);
   void sample_timeline();
   void add_live(std::int64_t delta);
 
   // --- in-flight state ---
-  PendingTable<PendingEvent> pending_;
-  std::map<std::uint64_t, PendingPacket> pending_packets_;
-  /// "sim.event/<component>" per component seen, in first-seen order; the
-  /// names, not map pointers, so a copy's pending records stay its own.
-  std::vector<std::string> event_sites_;
+  PacketLives packets_;
+  std::uint32_t packet_spaces_ = 0;  ///< spaces handed out by open_packet_space()
   bool in_event_ = false;
   std::int64_t cur_time_ns_ = 0;
   std::int64_t cur_delta_ = 0;   ///< live-bytes delta of the dispatching event
@@ -318,7 +348,7 @@ class MemProfiler : public Observer {
   std::map<std::int64_t, std::int64_t> timeline_;
 
   // --- cells of the maps above, reached without a tree walk ---
-  LocalCache<std::vector<SiteStats*>> event_site_cells_;  ///< by event_sites_ index
+  LocalCache<NamedCells<SiteStats>> event_site_cells_;  ///< by tag component
   LocalCache<NamedCells<SiteStats>> site_cells_;
   LocalCache<NamedCells<ChaseStats>> chase_cells_;
   LocalCache<NamedCells<OccupancyStats>> occ_cells_;

@@ -15,16 +15,22 @@
 //    read once before any end hook runs (the auditor's own end hook
 //    resets its claim).
 //
-// The schedule, cancel and begin hooks receive the event's full EventId:
-// its value and the queue slot it occupies. Within one queue the pending
-// events hold distinct slots, so an observer may keep its pending-event
-// records in a table indexed by slot (PendingTable, at the end of this
-// header) instead of a map keyed by value. That is sound only for a
-// serial-only observer (below): the sharded backend's per-owner queues and
-// its control queue hand out the same slot numbers. One observer may also
-// watch several simulators in turn, each with a queue whose slots and
-// values restart, and a simulator stopped at a horizon leaves its pending
-// records behind; so a slot-indexed record must also match the id's value.
+// Schedule records. The serial backend keeps one ScheduleRecord per
+// pending event (below): when it was scheduled, from which shard, and at
+// what causal depth. It writes the record once, at the schedule, and hands
+// it to every observer's on_cancel and begin_event, so no observer keeps
+// a pending-event table of its own. Records are written only while an
+// observer that reads them (reads_schedule_records(): the scale and memory
+// profilers) is attached; a bare run, or one with only the auditor or the
+// loop profiler, writes none. An observer is passed a record only for an
+// event scheduled during its current attachment: for an event scheduled
+// before it attached, or while it was detached, it gets nullptr, and
+// treats the event as unseen (the scale profiler as a causal root, the
+// memory profiler as an event with no lifetime). Causal depth counts along
+// the events dispatched since records were last switched on; an event
+// whose record is older is a root at depth 1. The sharded backend runs
+// lane observers only (see below), which read no record, and passes
+// nullptr.
 //
 // Under the sharded backend each owner records into lanes: at run() start
 // the backend calls make_lane() once per attached observer per owner, and
@@ -42,31 +48,15 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
 
 namespace tussle::sim {
-
-/// Opaque handle identifying a scheduled event, usable to cancel it.
-struct EventId {
-  std::uint64_t value = 0;  ///< id_base + seq + 1; 0 is "no event"
-  std::uint32_t slot = 0;   ///< the event's queue slot, checked against value
-  friend bool operator==(EventId, EventId) = default;
-};
-
-/// Label for a scheduled event. Both pointers must be string literals (or
-/// otherwise outlive the simulation); the default tag is "(untagged)".
-struct TaskTag {
-  const char* component = nullptr;
-  const char* kind = nullptr;
-};
 
 /// Provisional shard identifier. The AS id doubles as the shard id — the
 /// partition the sharded backend runs one logical process per.
@@ -77,6 +67,31 @@ inline constexpr ShardId kNoShard = 0xFFFFFFFFu;
 /// Sentinel: state declared shared across shards (Ledger, merge sinks).
 /// Mutations are tallied per accessing shard instead of checked.
 inline constexpr ShardId kSharedShard = 0xFFFFFFFEu;
+
+/// Opaque handle identifying a scheduled event, usable to cancel it.
+struct EventId {
+  std::uint64_t value = 0;  ///< id_base + seq + 1; 0 is "no event"
+  std::uint32_t slot = 0;   ///< the event's queue slot, checked against value
+  friend bool operator==(EventId, EventId) = default;
+};
+
+/// What the simulator remembers of a pending event's schedule, for its
+/// observers (see the top of this file).
+struct ScheduleRecord {
+  std::int64_t sched_ns = 0;   ///< schedule time
+  std::uint64_t depth = 1;     ///< causal depth: 1 + the scheduling event's; 1 at setup
+  ShardId origin = kNoShard;   ///< shard the scheduling event had claimed
+  friend bool operator==(const ScheduleRecord&, const ScheduleRecord&) = default;
+};
+
+/// Label for a scheduled event. Both pointers must be string literals (or
+/// otherwise outlive the simulation and never change their text); the
+/// default tag is "(untagged)". The observers find a tag's cells by the
+/// pointer first (NamedCells, below).
+struct TaskTag {
+  const char* component = nullptr;
+  const char* kind = nullptr;
+};
 
 class Observer {
  public:
@@ -93,14 +108,24 @@ class Observer {
   /// auditor attached).
   virtual void on_schedule(EventId /*id*/, SimTime /*now*/, SimTime /*at*/,
                            const TaskTag& /*tag*/, ShardId /*origin*/) {}
-  /// A pending event was cancelled at `now` before it fired.
-  virtual void on_cancel(EventId /*id*/, SimTime /*now*/) {}
+  /// A pending event, labelled `tag`, was cancelled at `now` before it
+  /// fired. `rec` is its schedule record, nullptr when this observer did
+  /// not see it scheduled.
+  virtual void on_cancel(EventId /*id*/, SimTime /*now*/, const TaskTag& /*tag*/,
+                         const ScheduleRecord* /*rec*/) {}
   /// Event `id` is about to run; `queue_depth` events are still pending.
+  /// `rec` is its schedule record, nullptr when this observer did not see
+  /// it scheduled.
   virtual void begin_event(EventId /*id*/, SimTime /*now*/, std::size_t /*queue_depth*/,
-                           const TaskTag& /*tag*/) {}
+                           const TaskTag& /*tag*/, const ScheduleRecord* /*rec*/) {}
   /// The event's handler returned; `claimed` is the shard the auditor saw
   /// claim it (kNoShard when unclaimed or no auditor is attached).
   virtual void end_event(ShardId /*claimed*/) {}
+  /// True if this observer reads the schedule records its cancel and begin
+  /// hooks are handed: the serial backend writes records only while such
+  /// an observer is attached. The default, false, may still be handed
+  /// records another observer asked for.
+  virtual bool reads_schedule_records() const { return false; }
 
   /// A fresh, empty instance of the same kind for one owner's lane under
   /// the sharded backend. It carries configuration the hooks need (the
@@ -112,8 +137,10 @@ class Observer {
   virtual void fold(const Observer& /*lane*/) {}
 };
 
-// Hook fan-out shared by the backends. `List` holds Observer pointers, raw
-// or owning, in attach order.
+// Hook fan-out for the sharded backend, whose observers are lanes that
+// read no schedule record. `List` holds Observer pointers, raw or owning,
+// in attach order. The serial backend fans out in Simulator, which hands
+// each observer its record.
 
 template <typename List>
 void observe_schedule(const List& obs, EventId id, SimTime now, SimTime at,
@@ -122,14 +149,14 @@ void observe_schedule(const List& obs, EventId id, SimTime now, SimTime at,
 }
 
 template <typename List>
-void observe_cancel(const List& obs, EventId id, SimTime now) {
-  for (const auto& o : obs) o->on_cancel(id, now);
+void observe_cancel(const List& obs, EventId id, SimTime now, const TaskTag& tag) {
+  for (const auto& o : obs) o->on_cancel(id, now, tag, nullptr);
 }
 
 template <typename List>
 void observe_begin(const List& obs, EventId id, SimTime now, std::size_t queue_depth,
                    const TaskTag& tag) {
-  for (const auto& o : obs) o->begin_event(id, now, queue_depth, tag);
+  for (const auto& o : obs) o->begin_event(id, now, queue_depth, tag, nullptr);
 }
 
 /// Reverse attach order. Read `claimed` before calling: the auditor's end
@@ -142,16 +169,27 @@ void observe_end(const List& obs, ShardId claimed) {
 // --- the observers' cells ----------------------------------------------------
 //
 // The auditor and the scale and memory profilers report from ordered
-// std::maps, so every export is a pure function of the event sequence. The
-// maps stay the storage every report, dashboard and merge reads; these
-// helpers only change how a hook reaches a cell, so that a warm hook
+// containers, so every export is a pure function of the event sequence.
+// These helpers only change how a hook reaches a cell, so that a warm hook
 // allocates nothing and walks no tree:
 //
-//  - PendingTable: pending-event records indexed by EventId::slot, for
-//    serial-only observers (above), instead of one map node per event;
-//  - NamedCells: a string-keyed map's cells found by content through a
-//    short list of the names seen so far, so a hit builds no std::string;
+//  - NamedCells: a string-keyed map's cells found by the name's address,
+//    then, for an address not seen yet, by its text;
 //  - BucketCells: one cached cell per log2 bucket of a histogram map.
+//
+// Pending-event records are not the observers' to keep: the simulator
+// holds one ScheduleRecord per pending event and passes it to the hooks
+// (see the top of this file).
+//
+// Names. Every hook that takes a name (a TaskTag's fields, MemProfiler's
+// sites, chase and occupancy names, the auditor's component kinds and
+// mutators) takes a const char* with the TaskTag contract: a string
+// literal, or text that outlives the observer and never changes. The cells
+// are found by the pointer; an address not seen before is matched by its
+// text, and cached, so two literals with the same text share one cell. A
+// std::string's buffer or a string_view's data must never be passed: once
+// freed, its address can come back holding another name, and the lookup
+// would silently pick that name's cell.
 //
 // Cached pointers point into the owning observer's own maps, whose nodes
 // never move or go away. They live in LocalCache, which a copy or move of
@@ -178,78 +216,42 @@ class LocalCache {
   T value_{};
 };
 
-/// Pending-event records of a serial-only observer, indexed by
-/// EventId::slot. Each record also keeps its id's value, and only that
-/// value finds it: records an unseen dispatch left behind (the observer
-/// was detached, or its simulator stopped at a horizon) must not answer
-/// for a later event on the same slot, possibly from the next simulator
-/// the observer watches, whose slots and values restart.
-///
-/// The table is a std::deque, whose chunks never move: a doubling vector
-/// would copy itself as it grows and hold both copies at once. When the
-/// last record drains at the end of an event (a world's end), drained()
-/// clears it, which hands its chunks back.
-template <typename Rec>
-class PendingTable {
- public:
-  /// Stores `rec` for `id`, replacing whatever its slot held.
-  void put(EventId id, const Rec& rec) {
-    if (id.slot >= entries_.size()) entries_.resize(std::size_t{id.slot} + 1);
-    Entry& e = entries_[id.slot];
-    if (e.value == 0) ++live_;
-    e.value = id.value;
-    e.rec = rec;
-  }
-
-  /// Moves `id`'s record into `out` and frees it. False, leaving `out`
-  /// alone, when the slot holds no record of this id.
-  bool take(EventId id, Rec& out) {
-    if (id.value == 0 || id.slot >= entries_.size()) return false;
-    Entry& e = entries_[id.slot];
-    if (e.value != id.value) return false;
-    out = std::move(e.rec);
-    e.value = 0;
-    --live_;
-    return true;
-  }
-
-  /// Releases the table once no record is left. Called at the end of an
-  /// event, never from take(): a chain of single events empties the table
-  /// between a dispatch and the schedule it makes.
-  void drained() {
-    if (live_ == 0 && !entries_.empty()) entries_.clear();
-  }
-
- private:
-  struct Entry {
-    std::uint64_t value = 0;  ///< the id's value; 0 = no record
-    Rec rec{};
-  };
-  std::deque<Entry> entries_;
-  std::size_t live_ = 0;  ///< entries holding a record
-};
-
-/// Cells of a std::map<std::string, V>, found by content (length and
-/// bytes) in a short list of the names already resolved. A hit builds no
-/// std::string and walks no tree; a miss inserts the name once. Hold it in
-/// a LocalCache: the list points into one map's nodes.
+/// Cells of a std::map<std::string, V> keyed `prefix + name`, found by
+/// the name's address in a short list of the names already resolved; a
+/// name at an address not in the list is matched by its text and joins the
+/// list. A hit compares pointers only, and builds no std::string; a new
+/// name is inserted once. `name` follows the literal contract above, and
+/// one NamedCells always gets the same `prefix`. Hold it in a LocalCache:
+/// the list points into one map's nodes.
 template <typename V>
 class NamedCells {
  public:
-  V& get(std::map<std::string, V>& map, std::string_view name) {
+  V& get(std::map<std::string, V>& map, const char* name, const char* prefix = "") {
     for (const Entry& e : entries_) {
       if (e.name == name) return *e.cell;
     }
-    auto& node = *map.try_emplace(std::string(name)).first;
-    entries_.push_back(Entry{node.first, &node.second});
-    return node.second;
+    return add(map, name, prefix);
   }
 
  private:
   struct Entry {
-    std::string_view name;  ///< views the map node's key
+    const char* name;  ///< a caller's literal
     V* cell = nullptr;
   };
+
+  V& add(std::map<std::string, V>& map, const char* name, const char* prefix) {
+    V* cell = nullptr;
+    for (const Entry& e : entries_) {
+      if (std::strcmp(e.name, name) == 0) {
+        cell = e.cell;
+        break;
+      }
+    }
+    if (cell == nullptr) cell = &map.try_emplace(std::string(prefix) + name).first->second;
+    entries_.push_back(Entry{name, cell});
+    return *cell;
+  }
+
   std::vector<Entry> entries_;
 };
 

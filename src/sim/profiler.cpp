@@ -111,7 +111,7 @@ void LoopProfiler::reset() noexcept {
 }
 
 void LoopProfiler::begin_event(EventId /*id*/, SimTime /*now*/, std::size_t /*queue_depth*/,
-                               const TaskTag& tag) {
+                               const TaskTag& tag, const ScheduleRecord* /*rec*/) {
   cur_tag_ = tag;
   cur_start_ = wall_now_seconds();
 }

@@ -62,8 +62,8 @@ class LoopProfiler : public Observer {
   void reset() noexcept;
 
   // --- observer hooks: time the handler between begin and end -------------
-  void begin_event(EventId id, SimTime now, std::size_t queue_depth,
-                   const TaskTag& tag) override;
+  void begin_event(EventId id, SimTime now, std::size_t queue_depth, const TaskTag& tag,
+                   const ScheduleRecord* rec) override;
   void end_event(ShardId claimed) override;
   std::unique_ptr<Observer> make_lane() const override;
   void fold(const Observer& lane) override;

@@ -20,22 +20,28 @@ void assign_tag_label(std::string& out, const TaskTag& tag) {
 /// ∞ (the pure work/span causality bound).
 constexpr std::uint64_t kCurve[] = {1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64};
 
+/// Home slot of a (row, shard) cell in a load-grid index of `mask` + 1
+/// slots.
+std::size_t grid_home(std::int64_t row, ShardId shard, std::size_t mask) noexcept {
+  const std::uint64_t h = static_cast<std::uint64_t>(row) * 0x9E3779B97F4A7C15ull ^
+                          static_cast<std::uint64_t>(shard) * 0xC2B2AE3D27D4EB4Full;
+  return static_cast<std::size_t>(h ^ (h >> 29)) & mask;
+}
+
 }  // namespace
 
-void ScaleProfiler::on_schedule(EventId id, SimTime now, SimTime /*at*/,
-                                const TaskTag& /*tag*/, ShardId origin) {
+void ScaleProfiler::on_schedule(EventId /*id*/, SimTime /*now*/, SimTime /*at*/,
+                                const TaskTag& /*tag*/, ShardId /*origin*/) {
   ++scheduled_;
-  pending_.put(id, Pending{in_event_ ? cur_.depth + 1 : 1, origin, now.as_nanos()});
 }
 
-void ScaleProfiler::on_cancel(EventId id, SimTime /*now*/) {
+void ScaleProfiler::on_cancel(EventId /*id*/, SimTime /*now*/, const TaskTag& /*tag*/,
+                              const ScheduleRecord* /*rec*/) {
   ++cancelled_;
-  Pending gone;
-  pending_.take(id, gone);
 }
 
-void ScaleProfiler::begin_event(EventId id, SimTime now, std::size_t queue_depth,
-                                const TaskTag& tag) {
+void ScaleProfiler::begin_event(EventId /*id*/, SimTime now, std::size_t queue_depth,
+                                const TaskTag& tag, const ScheduleRecord* rec) {
   // The barrier-window width freezes at the first dispatch: the world (and
   // with it every cross-shard link) is built by then.
   if (frozen_window_ns_ == 0) {
@@ -47,12 +53,9 @@ void ScaleProfiler::begin_event(EventId id, SimTime now, std::size_t queue_depth
     if (w <= 0) w = kTick.as_nanos();
     frozen_window_ns_ = w;
   }
-  in_event_ = true;
   cur_time_ns_ = now.as_nanos();
-  if (!pending_.take(id, cur_)) {
-    // Scheduled before the profiler attached: a causal root.
-    cur_ = Pending{1, kNoShard, now.as_nanos()};
-  }
+  // Scheduled before the profiler attached: a causal root.
+  cur_ = rec != nullptr ? *rec : ScheduleRecord{cur_time_ns_, 1, kNoShard};
   const auto depth = static_cast<std::uint64_t>(queue_depth);
   ++queue_samples_;
   queue_sum_ += depth;
@@ -67,7 +70,6 @@ void ScaleProfiler::begin_event(EventId id, SimTime now, std::size_t queue_depth
 }
 
 void ScaleProfiler::end_event(ShardId shard) {
-  in_event_ = false;
   recorded_ = true;
   ++work_;
   ShardCells& c = shard_cells(shard);
@@ -75,23 +77,61 @@ void ScaleProfiler::end_event(ShardId shard) {
   // A row is re-resolved on any change, not only forward: sim time
   // restarts at 0 when the next simulator this profiler watches starts.
   const std::int64_t tick = cur_time_ns_ / kTick.as_nanos();
-  if (c.tick_cell == nullptr || c.tick != tick) {
+  if (c.tick_cell == LoadGrid::kNone || c.tick != tick) {
     c.tick = tick;
-    c.tick_cell = &tick_load_[{tick, shard}];
+    c.tick_cell = tick_load_.cell(tick, shard);
   }
-  *c.tick_cell += 1;
-  const std::int64_t window = cur_time_ns_ / frozen_window_ns_;
-  if (c.window_cell == nullptr || c.window != window) {
-    c.window = window;
-    c.window_cell = &window_load_[{window, shard}];
+  tick_load_.events(c.tick_cell) += 1;
+  const std::int64_t into_window = cur_time_ns_ - c.window_start_ns;
+  if (c.window_cell == LoadGrid::kNone || into_window < 0 || into_window >= frozen_window_ns_) {
+    const std::int64_t window = cur_time_ns_ / frozen_window_ns_;
+    c.window_start_ns = window * frozen_window_ns_;
+    c.window_cell = window_load_.cell(window, shard);
   }
-  *c.window_cell += 1;
+  window_load_.events(c.window_cell) += 1;
   TrafficEdge& e = edge(cur_.origin, shard);
   const std::int64_t delay = cur_time_ns_ - cur_.sched_ns;
   if (e.events == 0 || delay < e.min_delay_ns) e.min_delay_ns = delay;
   e.events += 1;
   if (cur_.origin != shard && cur_.origin != kNoShard && shard != kNoShard) ++cross_;
-  pending_.drained();
+}
+
+// ------------------------------------------------------------ load grid
+
+std::uint32_t ScaleProfiler::LoadGrid::cell(std::int64_t row, ShardId shard) {
+  if (2 * (cells_.size() + 1) > index_.size()) grow_index();
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = grid_home(row, shard, mask);; i = (i + 1) & mask) {
+    if (index_[i] == 0) {
+      cells_.push_back(LoadCell{row, shard, 0});
+      index_[i] = static_cast<std::uint32_t>(cells_.size());
+      return index_[i] - 1;
+    }
+    const LoadCell& c = cells_[index_[i] - 1];
+    if (c.row == row && c.shard == shard) return index_[i] - 1;
+  }
+}
+
+void ScaleProfiler::LoadGrid::grow_index() {
+  index_.assign(std::max<std::size_t>(64, 2 * index_.size()), 0);
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t pos = 0; pos < cells_.size(); ++pos) {
+    std::size_t i = grid_home(cells_[pos].row, cells_[pos].shard, mask);
+    while (index_[i] != 0) i = (i + 1) & mask;
+    index_[i] = static_cast<std::uint32_t>(pos + 1);
+  }
+}
+
+std::vector<ScaleProfiler::LoadCell> ScaleProfiler::LoadGrid::sorted() const {
+  std::vector<LoadCell> out = cells_;
+  std::sort(out.begin(), out.end(), [](const LoadCell& a, const LoadCell& b) {
+    return a.row != b.row ? a.row < b.row : a.shard < b.shard;
+  });
+  return out;
+}
+
+void ScaleProfiler::LoadGrid::add(const LoadGrid& other) {
+  for (const LoadCell& c : other.cells_) events(cell(c.row, c.shard)) += c.events;
 }
 
 ScaleProfiler::ShardCells& ScaleProfiler::shard_cells(ShardId shard) {
@@ -179,16 +219,33 @@ ScaleProfiler::QueueStats ScaleProfiler::queue_stats() const {
 std::map<std::uint64_t, std::uint64_t> ScaleProfiler::own_costs() const {
   std::map<std::uint64_t, std::uint64_t> out;
   if (window_load_.empty()) return out;
+  const std::vector<LoadCell> cells = window_load_.sorted();
+
+  // Real shards in ascending id order, and each cell's position among them
+  // (kSerial for unclaimed / shared-state cells).
+  constexpr std::size_t kSerial = ~std::size_t{0};
+  std::map<ShardId, std::uint64_t> totals;
+  for (const LoadCell& c : cells) {
+    if (c.shard != kNoShard && c.shard != kSharedShard) totals[c.shard] += c.events;
+  }
+  std::vector<ShardId> shards;
+  shards.reserve(totals.size());
+  for (const auto& [s, n] : totals) {
+    (void)n;
+    shards.push_back(s);
+  }
+  std::vector<std::size_t> real(cells.size(), kSerial);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const ShardId s = cells[i].shard;
+    if (s == kNoShard || s == kSharedShard) continue;
+    real[i] = static_cast<std::size_t>(std::lower_bound(shards.begin(), shards.end(), s) -
+                                       shards.begin());
+  }
 
   // Real shards ordered by (events desc, id asc): the LPT packing order.
-  std::map<ShardId, std::uint64_t> totals;
-  for (const auto& [key, n] : window_load_) {
-    const ShardId s = key.second;
-    if (s != kNoShard && s != kSharedShard) totals[s] += n;
-  }
-  std::vector<std::pair<std::uint64_t, ShardId>> order;
-  order.reserve(totals.size());
-  for (const auto& [s, n] : totals) order.emplace_back(n, s);
+  std::vector<std::pair<std::uint64_t, std::size_t>> order;
+  order.reserve(shards.size());
+  for (std::size_t r = 0; r < shards.size(); ++r) order.emplace_back(totals.at(shards[r]), r);
   std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
     if (a.first != b.first) return a.first > b.first;
     return a.second < b.second;
@@ -198,11 +255,11 @@ std::map<std::uint64_t, std::uint64_t> ScaleProfiler::own_costs() const {
   // slowest virtual shard (the barrier waits for it) plus the serial work
   // (unclaimed / shared-state events a conservative design runs with every
   // shard quiescent).
-  auto replay = [&](const std::map<ShardId, std::size_t>& vshard_of,
+  auto replay = [&](const std::vector<std::size_t>& vshard_of,
                     std::size_t vshards) -> std::uint64_t {
     std::vector<std::uint64_t> wload(std::max<std::size_t>(vshards, 1), 0);
     std::uint64_t cost = 0, serial = 0;
-    std::int64_t cur_w = window_load_.begin()->first.first;
+    std::int64_t cur_w = cells.front().row;
     auto flush = [&] {
       std::uint64_t mx = 0;
       for (const std::uint64_t v : wload) mx = std::max(mx, v);
@@ -210,46 +267,40 @@ std::map<std::uint64_t, std::uint64_t> ScaleProfiler::own_costs() const {
       std::fill(wload.begin(), wload.end(), 0);
       serial = 0;
     };
-    for (const auto& [key, n] : window_load_) {
-      if (key.first != cur_w) {
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      if (cells[i].row != cur_w) {
         flush();
-        cur_w = key.first;
+        cur_w = cells[i].row;
       }
-      const ShardId s = key.second;
-      if (s == kNoShard || s == kSharedShard) {
-        serial += n;
+      if (real[i] == kSerial) {
+        serial += cells[i].events;
       } else {
-        wload[vshard_of.at(s)] += n;
+        wload[vshard_of[real[i]]] += cells[i].events;
       }
     }
     flush();
     return cost;
   };
 
+  std::vector<std::size_t> vshard_of(shards.size());
   for (const std::uint64_t k : kCurve) {
     const std::size_t vshards =
         std::max<std::size_t>(1, std::min<std::size_t>(k, std::max<std::size_t>(order.size(), 1)));
-    std::map<ShardId, std::size_t> vshard_of;
     std::vector<std::uint64_t> vload(vshards, 0);
-    for (const auto& [n, s] : order) {
+    for (const auto& [n, r] : order) {
       std::size_t best = 0;
       for (std::size_t v = 1; v < vload.size(); ++v) {
         if (vload[v] < vload[best]) best = v;
       }
       vload[best] += n;
-      vshard_of[s] = best;
+      vshard_of[r] = best;
     }
     out[k] = replay(vshard_of, vshards);
   }
 
   // k = ∞: every real shard is its own worker.
-  std::map<ShardId, std::size_t> identity;
-  std::size_t slot = 0;
-  for (const auto& [s, n] : totals) {
-    (void)n;
-    identity[s] = slot++;
-  }
-  out[0] = replay(identity, std::max<std::size_t>(identity.size(), 1));
+  for (std::size_t r = 0; r < shards.size(); ++r) vshard_of[r] = r;
+  out[0] = replay(vshard_of, std::max<std::size_t>(shards.size(), 1));
   return out;
 }
 
@@ -307,7 +358,7 @@ void ScaleProfiler::merge(const ScaleProfiler& other) {
   work_ += other.work_;
   cross_ += other.cross_;
   for (const auto& [s, n] : other.shard_events_) shard_events_[s] += n;
-  for (const auto& [key, n] : other.tick_load_) tick_load_[key] += n;
+  tick_load_.add(other.tick_load_);
   for (const auto& [key, e] : other.traffic_) {
     TrafficEdge& mine = traffic_[key];
     if (mine.events == 0 || e.min_delay_ns < mine.min_delay_ns) {
@@ -377,11 +428,11 @@ std::string ScaleProfiler::report_json() const {
   w.key("shard_load").begin_object();
   w.key("tick_ns").value(kTick.as_nanos());
   w.key("cells").begin_array();
-  for (const auto& [key, n] : tick_load_) {
+  for (const LoadCell& c : tick_load_.sorted()) {
     w.begin_object();
-    w.key("tick").value(static_cast<std::int64_t>(key.first));
-    w.key("shard").value(shard_label(key.second));
-    w.key("events").value(n);
+    w.key("tick").value(static_cast<std::int64_t>(c.row));
+    w.key("shard").value(shard_label(c.shard));
+    w.key("events").value(c.events);
     w.end_object();
   }
   w.end_array();
@@ -482,14 +533,14 @@ std::string scale_dashboard(const ScaleProfiler& sp, const std::string& title) {
 
   // --- shard-load heatmap --------------------------------------------------
   {
-    const auto& load = sp.tick_load();
+    const std::vector<ScaleProfiler::LoadCell> load = sp.tick_load();
     std::vector<ShardId> shards;
     std::vector<std::int64_t> ticks;
     std::uint64_t mx = 0;
-    for (const auto& [key, n] : load) {
-      if (ticks.empty() || ticks.back() != key.first) ticks.push_back(key.first);
-      shards.push_back(key.second);
-      mx = std::max(mx, n);
+    for (const ScaleProfiler::LoadCell& c : load) {
+      if (ticks.empty() || ticks.back() != c.row) ticks.push_back(c.row);
+      shards.push_back(c.shard);
+      mx = std::max(mx, c.events);
     }
     std::sort(ticks.begin(), ticks.end());
     ticks.erase(std::unique(ticks.begin(), ticks.end()), ticks.end());
@@ -511,9 +562,9 @@ std::string scale_dashboard(const ScaleProfiler& sp, const std::string& title) {
       for (std::size_t i = 0; i < shards.size(); ++i) shard_row[shards[i]] = i;
       std::map<std::pair<std::size_t, std::size_t>, std::uint64_t> cells;
       std::uint64_t cell_max = 0;
-      for (const auto& [key, n] : load) {
-        auto& c = cells[{shard_row[key.second], tick_col[key.first]}];
-        c += n;
+      for (const ScaleProfiler::LoadCell& l : load) {
+        auto& c = cells[{shard_row[l.shard], tick_col[l.row]}];
+        c += l.events;
         cell_max = std::max(cell_max, c);
       }
       const double lw = 64, cw = std::max(6.0, 740.0 / static_cast<double>(cols));

@@ -47,11 +47,16 @@
 //    lanes, so it runs on the serial backend only (ShardedBackend::run()
 //    refuses it).
 //
-// Per-event cost: no allocation once warm. A pending event's record sits
-// in a table indexed by its queue slot (sim/observer.hpp), and each
+// Per-event cost: no allocation once warm, and no tree walk while a
+// shard's cells stay cached. The simulator hands the profiler each event's
+// schedule record (causal depth, origin shard, schedule time; see
+// sim/observer.hpp), so the profiler keeps no pending-event table. Each
 // dispatch bumps cells cached per shard (its total, its tick and window
-// rows, the traffic edge) and per histogram bucket; a cell is looked up in
-// its map only when its row or key changes.
+// rows, the traffic edge) and per histogram bucket. A shard entering a new
+// tick or window finds its row in an open-addressing index over a flat row
+// vector: no node, no tree walk, and a vector that grows by doubling.
+// Reports, merges and the barrier replay read the rows sorted in
+// (row, shard) order.
 #pragma once
 
 #include <array>
@@ -78,14 +83,18 @@ class ScaleProfiler : public Observer {
   void on_schedule(EventId id, SimTime now, SimTime at, const TaskTag& tag,
                    ShardId origin) override;
   /// A pending event was cancelled before firing.
-  void on_cancel(EventId id, SimTime now) override;
+  void on_cancel(EventId id, SimTime now, const TaskTag& tag,
+                 const ScheduleRecord* rec) override;
   /// Dispatch is about to run event `id`; `queue_depth` is the number of
-  /// events still pending (sampled into the queue-depth histogram).
-  void begin_event(EventId id, SimTime now, std::size_t queue_depth,
-                   const TaskTag& tag) override;
+  /// events still pending (sampled into the queue-depth histogram). `rec`
+  /// carries its causal depth and origin; an event without one (scheduled
+  /// before the profiler attached) is a causal root.
+  void begin_event(EventId id, SimTime now, std::size_t queue_depth, const TaskTag& tag,
+                   const ScheduleRecord* rec) override;
   /// The event's handler returned; `shard` is the shard the ShardAuditor
   /// saw claim it (kNoShard when unclaimed or no auditor is attached).
   void end_event(ShardId shard) override;
+  bool reads_schedule_records() const override { return true; }
   // No make_lane(): causal depth crosses owners, so per-owner lanes cannot
   // hold the event DAG — the profiler runs on the serial backend only.
 
@@ -161,11 +170,16 @@ class ScaleProfiler : public Observer {
   /// Predicted speedup at one k (0 = ∞). 0 when nothing was recorded.
   double speedup_at(std::uint64_t k) const;
 
-  /// Shard-load time grid: (tick index, shard) -> events dispatched in
-  /// that tick. Tick index i covers [i·tick, (i+1)·tick).
-  const std::map<std::pair<std::int64_t, ShardId>, std::uint64_t>& tick_load() const noexcept {
-    return tick_load_;
-  }
+  /// One cell of a (row, shard) grid: events a shard dispatched in one
+  /// tick or one lookahead window.
+  struct LoadCell {
+    std::int64_t row = 0;
+    ShardId shard = kNoShard;
+    std::uint64_t events = 0;
+  };
+  /// Shard-load time grid in (tick index, shard) order. Tick index i
+  /// covers [i·tick, (i+1)·tick).
+  std::vector<LoadCell> tick_load() const { return tick_load_.sorted(); }
 
   /// Machine-readable report. Every container behind it is ordered, so the
   /// output is a pure function of the recorded event sequence.
@@ -178,10 +192,27 @@ class ScaleProfiler : public Observer {
   void merge(const ScaleProfiler& other);
 
  private:
-  struct Pending {
-    std::uint64_t depth = 1;      ///< causal depth this event will run at
-    ShardId origin = kNoShard;    ///< shard claimed when it was scheduled
-    std::int64_t sched_ns = 0;    ///< schedule time
+  /// (row, shard) -> events: the cells in a vector, in the order they
+  /// were opened, found through an open-addressing index of their
+  /// positions (linear probing, at most half full). A new cell appends to
+  /// the vector; neither the vector nor the index allocates but to double.
+  /// A cell's position never changes, so callers may cache it.
+  class LoadGrid {
+   public:
+    static constexpr std::uint32_t kNone = ~0u;
+    /// Position of (row, shard)'s cell, opened at 0 events if new.
+    std::uint32_t cell(std::int64_t row, ShardId shard);
+    std::uint64_t& events(std::uint32_t pos) noexcept { return cells_[pos].events; }
+    bool empty() const noexcept { return cells_.empty(); }
+    /// Every cell, in (row, shard) order.
+    std::vector<LoadCell> sorted() const;
+    /// Adds each of `other`'s cells into this grid.
+    void add(const LoadGrid& other);
+
+   private:
+    void grow_index();
+    std::vector<LoadCell> cells_;
+    std::vector<std::uint32_t> index_;  ///< position + 1 per slot; 0 = empty
   };
 
   /// The cells one shard's dispatches bump: its total, and its tick and
@@ -191,9 +222,9 @@ class ScaleProfiler : public Observer {
     ShardId shard = kNoShard;
     std::uint64_t* events = nullptr;  ///< nullptr: way unused
     std::int64_t tick = 0;
-    std::uint64_t* tick_cell = nullptr;
-    std::int64_t window = 0;
-    std::uint64_t* window_cell = nullptr;
+    std::uint32_t tick_cell = LoadGrid::kNone;
+    std::int64_t window_start_ns = 0;  ///< the window's first instant, so no division per event
+    std::uint32_t window_cell = LoadGrid::kNone;
   };
   /// One traffic edge per (origin, shard) hash modulo kEdgeWays.
   struct EdgeCell {
@@ -202,7 +233,7 @@ class ScaleProfiler : public Observer {
     TrafficEdge* edge = nullptr;  ///< nullptr: way unused
   };
   static constexpr std::size_t kShardWays = 64;
-  static constexpr std::size_t kEdgeWays = 256;
+  static constexpr std::size_t kEdgeWays = 1024;
   ShardCells& shard_cells(ShardId shard);
   TrafficEdge& edge(ShardId origin, ShardId shard);
 
@@ -215,9 +246,7 @@ class ScaleProfiler : public Observer {
   std::int64_t tail_time_ns() const noexcept;
 
   // --- in-flight state ---
-  PendingTable<Pending> pending_;
-  bool in_event_ = false;
-  Pending cur_;                 ///< the dispatching event's pending record
+  ScheduleRecord cur_;          ///< the dispatching event's schedule record
   std::int64_t cur_time_ns_ = 0;
   std::int64_t frozen_window_ns_ = 0;  ///< fixed at first dispatch
   bool recorded_ = false;       ///< this instance dispatched at least one event
@@ -228,8 +257,8 @@ class ScaleProfiler : public Observer {
   std::uint64_t work_ = 0;
   std::uint64_t cross_ = 0;
   std::map<ShardId, std::uint64_t> shard_events_;
-  std::map<std::pair<std::int64_t, ShardId>, std::uint64_t> tick_load_;
-  std::map<std::pair<std::int64_t, ShardId>, std::uint64_t> window_load_;
+  LoadGrid tick_load_;
+  LoadGrid window_load_;
   std::map<std::pair<ShardId, ShardId>, TrafficEdge> traffic_;
   std::map<std::pair<ShardId, ShardId>, std::int64_t> links_;
   std::map<std::uint32_t, std::uint64_t> depth_hist_;

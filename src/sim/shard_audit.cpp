@@ -1,12 +1,14 @@
 #include "sim/shard_audit.hpp"
 
+#include <cstring>
+
 #include "sim/html.hpp"
 #include "sim/json.hpp"
 
 namespace tussle::sim {
 
 void ShardAuditor::begin_event(EventId /*id*/, SimTime now, std::size_t /*queue_depth*/,
-                               const TaskTag& tag) {
+                               const TaskTag& tag, const ScheduleRecord* /*rec*/) {
   ++events_;
   current_ = kNoShard;
   in_event_ = true;
@@ -40,34 +42,23 @@ void ShardAuditor::declare_control_event(const char* name) {
   control_name_ = name;
 }
 
-void ShardAuditor::register_component(std::string_view kind, std::uint64_t id,
-                                      ShardId shard) {
-  KnownKind* known = nullptr;
-  for (KnownKind& k : known_) {
-    if (k.kind == kind) {
-      known = &k;
-      break;
-    }
-  }
-  if (known != nullptr && id < known->ids.size() && known->ids[id]) return;
+void ShardAuditor::register_component(const char* kind, std::uint64_t id, ShardId shard) {
+  std::vector<bool>& known = known_cells_->get(known_, kind);
+  if (id < known.size() && known[id]) return;
   components_.emplace(std::make_pair(std::string(kind), id), shard);
   if (id >= kDenseIds) return;
-  if (known == nullptr) {
-    known_.push_back(KnownKind{std::string(kind), std::vector<bool>(id + 1)});
-    known = &known_.back();
-  }
-  if (id >= known->ids.size()) known->ids.resize(id + 1);
-  known->ids[id] = true;
+  if (id >= known.size()) known.resize(id + 1);
+  known[id] = true;
 }
 
-ShardAccess ShardAuditor::make_access(std::string_view kind, std::uint64_t id,
-                                      ShardId owner, std::string_view what) const {
+ShardAccess ShardAuditor::make_access(const char* kind, std::uint64_t id, ShardId owner,
+                                      const char* what) const {
   ShardAccess a;
-  a.component = std::string(kind);
+  a.component = kind;
   a.id = id;
   a.owner = owner;
   a.accessor = current_;
-  a.what = std::string(what);
+  a.what = what;
   a.event_component = event_component_ != nullptr ? event_component_ : "";
   a.event_kind = event_kind_ != nullptr ? event_kind_ : "";
   a.time = event_time_;
@@ -91,7 +82,7 @@ std::string ShardAuditor::describe(const ShardAccess& a) const {
   return out;
 }
 
-void ShardAuditor::claim(std::string_view kind, std::uint64_t id, ShardId shard) {
+void ShardAuditor::claim(const char* kind, std::uint64_t id, ShardId shard) {
   register_component(kind, id, shard);
   if (!in_event_) return;  // setup code runs outside any shard context
   if (in_control_) {
@@ -114,8 +105,8 @@ void ShardAuditor::claim(std::string_view kind, std::uint64_t id, ShardId shard)
   }
 }
 
-void ShardAuditor::check_mutation(std::string_view kind, std::uint64_t id,
-                                  ShardId owner, std::string_view what) {
+void ShardAuditor::check_mutation(const char* kind, std::uint64_t id, ShardId owner,
+                                  const char* what) {
   ++checks_;
   register_component(kind, id, owner);
   if (owner == kSharedShard) {
@@ -124,8 +115,7 @@ void ShardAuditor::check_mutation(std::string_view kind, std::uint64_t id,
   }
   if (!in_event_) return;  // construction / topology wiring phase
   if (in_control_) {
-    control_[std::make_pair(std::string(control_name_),
-                            std::string(kind) + "/" + std::string(what))] += 1;
+    control_[std::make_pair(std::string(control_name_), std::string(kind) + "/" + what)] += 1;
     return;
   }
   if (current_ == kNoShard) {
@@ -143,20 +133,34 @@ void ShardAuditor::check_mutation(std::string_view kind, std::uint64_t id,
   }
 }
 
-void ShardAuditor::record_shared_access(std::string_view kind, std::string_view what) {
+void ShardAuditor::record_shared_access(const char* kind, const char* what) {
+  SharedCell& cell = shared_cell(kind, what);
+  ShardCount& way = cell.shards[current_ % kShardWays];
+  if (way.count == nullptr || way.shard != current_) {
+    way = ShardCount{current_, &(*cell.tally)[current_]};
+  }
+  *way.count += 1;
+}
+
+ShardAuditor::SharedCell& ShardAuditor::shared_cell(const char* kind, const char* what) {
+  std::vector<SharedCell>& cells = *shared_cells_;
+  for (SharedCell& c : cells) {
+    if (c.kind == kind && c.what == what) return c;
+  }
+  // Literals at new addresses: their text names a tally seen, or a new one.
   std::map<ShardId, std::uint64_t>* tally = nullptr;
-  for (const SharedCell& c : *shared_cells_) {
-    if (c.kind == kind && c.what == what) {
+  for (const SharedCell& c : cells) {
+    if (std::strcmp(c.kind, kind) == 0 && std::strcmp(c.what, what) == 0) {
       tally = c.tally;
       break;
     }
   }
   if (tally == nullptr) {
-    auto& node = *shared_.try_emplace(std::make_pair(std::string(kind), std::string(what))).first;
-    tally = &node.second;
-    shared_cells_->push_back(SharedCell{node.first.first, node.first.second, tally});
+    tally = &shared_.try_emplace(std::make_pair(std::string(kind), std::string(what)))
+                 .first->second;
   }
-  (*tally)[current_] += 1;
+  cells.push_back(SharedCell{kind, what, tally});
+  return cells.back();
 }
 
 std::size_t ShardAuditor::shard_count() const {

@@ -28,17 +28,20 @@
 // schedules, samples a clock, or draws randomness, so enabling it cannot
 // change the event sequence. The report is a pure function of the event
 // sequence: byte-identical across runs. An audited hook allocates nothing
-// once warm: a repeat registration is a bitmap test (Network registers its
-// whole topology at build, and claim/check_mutation re-register on every
-// hop), and a shared-access tally is found by content in a short list.
+// once warm and compares no text: kinds, mutators and shared-state names
+// are string literals found by address (the literal contract of
+// sim/observer.hpp), a repeat registration is a bitmap test (Network
+// registers its whole topology at build, and claim/check_mutation
+// re-register on every hop), and a shared-access tally is a cell cached
+// per accessing shard.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "sim/observer.hpp"
@@ -77,8 +80,8 @@ class ShardAuditor : public Observer {
   // --- observer hooks -----------------------------------------------------
   /// Called by dispatch before each event fires: resets the claimed shard
   /// and remembers the event's tag/time for causal reports.
-  void begin_event(EventId id, SimTime now, std::size_t queue_depth,
-                   const TaskTag& tag) override;
+  void begin_event(EventId id, SimTime now, std::size_t queue_depth, const TaskTag& tag,
+                   const ScheduleRecord* rec) override;
 
   /// Called by dispatch after each event's handler returns: closes the
   /// shard context so code running *between* events — or between two run()
@@ -90,12 +93,16 @@ class ShardAuditor : public Observer {
   std::unique_ptr<Observer> make_lane() const override;
   void fold(const Observer& lane) override;
 
+  // Every `kind`, `what` and shared-state name below is a string literal,
+  // or text that outlives the auditor and never changes (the literal
+  // contract of sim/observer.hpp): the auditor finds its cells by address.
+
   // --- shard context ------------------------------------------------------
   /// A component's handler announces it is running: claims the current
   /// event for `shard` (first claim wins). A claim from a handler while a
   /// *different* shard holds the event is itself a cross-shard entry and
   /// is reported like a mutation.
-  void claim(std::string_view kind, std::uint64_t id, ShardId shard);
+  void claim(const char* kind, std::uint64_t id, ShardId shard);
   ShardId current() const noexcept { return current_; }
 
   /// Declares the remainder of the current event a *control event*: a
@@ -111,18 +118,17 @@ class ShardAuditor : public Observer {
   /// instance to a shard. Hook sites register lazily on first touch;
   /// Network registers its whole topology eagerly when an auditor is
   /// attached. A repeat registration of an id below kDenseIds is O(1).
-  void register_component(std::string_view kind, std::uint64_t id, ShardId shard);
+  void register_component(const char* kind, std::uint64_t id, ShardId shard);
 
   // --- checks -------------------------------------------------------------
   /// Audits one state mutation of the component owned by `owner`.
   /// Legal: setup phase (no event in flight), the claiming shard's own
   /// state, or kSharedShard state (tallied). Anything else is a violation:
   /// recorded, and thrown as ShardViolation when fail-fast is on.
-  void check_mutation(std::string_view kind, std::uint64_t id, ShardId owner,
-                      std::string_view what);
+  void check_mutation(const char* kind, std::uint64_t id, ShardId owner, const char* what);
 
   /// Tallies an access to declared-shared state by the current shard.
-  void record_shared_access(std::string_view kind, std::string_view what);
+  void record_shared_access(const char* kind, const char* what);
 
   // --- configuration ------------------------------------------------------
   /// Throw on the first violation (default). Off = collect and report.
@@ -160,22 +166,26 @@ class ShardAuditor : public Observer {
   void record_violation(const ShardAccess& a) { violations_.push_back(a); }
 
  private:
-  /// The ids of one component kind already in components_, as a bitmap.
-  struct KnownKind {
-    std::string kind;
-    std::vector<bool> ids;
-  };
   /// Ids at or past this bound are checked in components_ instead.
   static constexpr std::uint64_t kDenseIds = 1u << 20;
-  /// One shared_ tally, found by (kind, what) content.
+  /// One accessing shard's count in a shared_ tally; one way per shard id
+  /// modulo kShardWays.
+  struct ShardCount {
+    ShardId shard = kNoShard;
+    std::uint64_t* count = nullptr;  ///< nullptr: way unused
+  };
+  static constexpr std::size_t kShardWays = 64;
+  /// One shared_ tally, found by the (kind, what) literals' addresses.
   struct SharedCell {
-    std::string_view kind;  ///< views the shared_ node's key
-    std::string_view what;
+    const char* kind;
+    const char* what;
     std::map<ShardId, std::uint64_t>* tally = nullptr;
+    std::array<ShardCount, kShardWays> shards{};
   };
 
-  ShardAccess make_access(std::string_view kind, std::uint64_t id, ShardId owner,
-                          std::string_view what) const;
+  SharedCell& shared_cell(const char* kind, const char* what);
+  ShardAccess make_access(const char* kind, std::uint64_t id, ShardId owner,
+                          const char* what) const;
 
   ShardId current_ = kNoShard;
   bool in_event_ = false;
@@ -198,8 +208,9 @@ class ShardAuditor : public Observer {
   std::map<std::pair<std::string, std::string>, std::uint64_t> control_;
   std::vector<ShardAccess> violations_;
   /// Registered (kind, id) pairs below kDenseIds: a subset of components_,
-  /// held as names and bits, so a copy keeps it.
-  std::vector<KnownKind> known_;
+  /// held as one bitmap per kind, so a copy keeps it.
+  std::map<std::string, std::vector<bool>> known_;
+  LocalCache<NamedCells<std::vector<bool>>> known_cells_;
   LocalCache<std::vector<SharedCell>> shared_cells_;
 };
 

@@ -177,14 +177,14 @@ bool ShardedBackend::cancel(EventId id) {
     if (worker != nullptr && worker != &lp) return false;  // cross-owner cancel would race
     queue = &lp.queue;
   }
-  if (!queue->cancel(id)) return false;
+  TaskTag tag;
+  if (!queue->cancel(id, &tag)) return false;
   // Route like the schedule did: worker pushes were recorded by the owner's
-  // lanes, setup/control pushes by the simulator's own observers — so the
-  // pending-event bookkeeping (lifetime + control-block free) matches.
+  // lanes, setup/control pushes by the simulator's own observers.
   if (worker != nullptr) {
-    observe_cancel(worker->observers, id, c->now);
+    observe_cancel(worker->observers, id, c->now, tag);
   } else {
-    observe_cancel(sim().observers(), id, base_now());
+    observe_cancel(sim().observers(), id, base_now(), tag);
   }
   return true;
 }

@@ -103,16 +103,44 @@ EventId Simulator::schedule_at(SimTime at, TaskTag tag, EventQueue::Action actio
 
 EventId Simulator::serial_schedule(SimTime at, TaskTag tag, EventQueue::Action&& action) {
   const EventId id = queue_.push(at, std::move(action), tag);
-  // The scheduling event's claimed shard is the traffic-matrix origin;
-  // during setup (or with no auditor) there is none.
-  observe_schedule(observers_, id, now_, at, tag, claim_of(auditor_));
+  if (!observers_.empty()) {
+    // The scheduling event's claimed shard is the traffic-matrix origin;
+    // during setup (or with no auditor) there is none.
+    const ShardId origin = claim_of(auditor_);
+    if (records_on_) {
+      Scheduled& s = record_at(id.slot);
+      s.rec = ScheduleRecord{now_.as_nanos(), cur_depth_ + 1, origin};
+      s.epoch = attach_epoch_;
+    }
+    observe_schedule(observers_, id, now_, at, tag, origin);
+  }
   return id;
 }
 
 bool Simulator::serial_cancel(EventId id) {
-  const bool cancelled = queue_.cancel(id);
-  if (cancelled) observe_cancel(observers_, id, now_);
-  return cancelled;
+  TaskTag tag;
+  if (!queue_.cancel(id, &tag)) return false;
+  // A tombstone keeps its slot, so the slot's record is still this event's
+  // when it was written while observed.
+  const Scheduled* s = records_on_ ? written_at(id.slot) : nullptr;
+  for (std::size_t i = 0; i < observers_.size(); ++i) {
+    observers_[i]->on_cancel(id, now_, tag, seen_by(s, i));
+  }
+  return true;
+}
+
+Simulator::Scheduled& Simulator::record_at(std::uint32_t slot) {
+  const std::size_t block = slot >> kRecordBlockBits;
+  while (records_.size() <= block) {
+    records_.push_back(std::make_unique<Scheduled[]>(std::size_t{1} << kRecordBlockBits));
+  }
+  return records_[block][slot & kRecordMask];
+}
+
+const Simulator::Scheduled* Simulator::written_at(std::uint32_t slot) const noexcept {
+  const std::size_t block = slot >> kRecordBlockBits;
+  if (block >= records_.size()) return nullptr;
+  return &records_[block][slot & kRecordMask];
 }
 
 // --------------------------------------------------------------- observers --
@@ -121,11 +149,18 @@ void Simulator::attach(Observer* obs) {
   if (obs == nullptr) return;
   if (std::find(observers_.begin(), observers_.end(), obs) == observers_.end()) {
     observers_.push_back(obs);
+    observers_since_.push_back(++attach_epoch_);
+    observers_changed();
   }
 }
 
 void Simulator::detach(Observer* obs) {
-  observers_.erase(std::remove(observers_.begin(), observers_.end(), obs), observers_.end());
+  const auto it = std::find(observers_.begin(), observers_.end(), obs);
+  if (it != observers_.end()) {
+    observers_since_.erase(observers_since_.begin() + (it - observers_.begin()));
+    observers_.erase(it);
+    observers_changed();
+  }
   if (obs == auditor_) auditor_ = nullptr;
   if (obs == scale_) scale_ = nullptr;
   if (obs == mem_) mem_ = nullptr;
@@ -138,10 +173,21 @@ void Simulator::replace_observer(Observer* old, Observer* now) {
     attach(now);
   } else if (now == nullptr ||
              std::find(observers_.begin(), observers_.end(), now) != observers_.end()) {
-    observers_.erase(it);
+    detach(old);
   } else {
     *it = now;
+    observers_since_[static_cast<std::size_t>(it - observers_.begin())] = ++attach_epoch_;
+    observers_changed();
   }
+}
+
+void Simulator::observers_changed() {
+  const bool on = std::any_of(observers_.begin(), observers_.end(),
+                              [](const Observer* o) { return o->reads_schedule_records(); });
+  // Records written before a gap may sit stale on reused slots: dating
+  // the switch-on keeps them from seeding a causal depth.
+  if (on && !records_on_) records_since_ = attach_epoch_;
+  records_on_ = on;
 }
 
 void Simulator::set_auditor(ShardAuditor* auditor) {
@@ -200,8 +246,16 @@ void Simulator::dispatch(EventQueue::Popped& ev) {
   if (observers_.empty()) {
     ev.action();
   } else {
-    observe_begin(observers_, ev.id, now_, queue_.size(), ev.tag);
+    // pop() freed the slot, so the handler may write a new record over
+    // this one: the begin hooks read it first, and the depth is copied.
+    const Scheduled* s = records_on_ ? written_at(ev.id.slot) : nullptr;
+    cur_depth_ = s != nullptr && s->epoch >= records_since_ ? s->rec.depth : 1;
+    const std::size_t depth = queue_.size();
+    for (std::size_t i = 0; i < observers_.size(); ++i) {
+      observers_[i]->begin_event(ev.id, now_, depth, ev.tag, seen_by(s, i));
+    }
     ev.action();
+    cur_depth_ = 0;
     observe_end(observers_, claim_of(auditor_));
   }
   if (heartbeat_ && now_ >= next_heartbeat_) {

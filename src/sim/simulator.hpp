@@ -21,7 +21,10 @@
 //    auditor, the scale, memory and loop profilers. The observers live in
 //    one ordered list; dispatch runs their begin hooks in attach order and
 //    their end hooks in reverse, and pays one empty-list branch per event
-//    when none is attached.
+//    when none is attached. While one that reads them is attached (the
+//    scale and memory profilers), the serial backend keeps each pending
+//    event's ScheduleRecord in a table indexed by its queue slot and hands
+//    it to the cancel and begin hooks.
 //  - set_heartbeat() prints a periodic progress line (sim-time, events/sec,
 //    queue depth) — it schedules nothing, so enabling it cannot change the
 //    event sequence. The serial loop checks it per event; the sharded
@@ -174,6 +177,8 @@ class Simulator {
   /// observer instance serves one dispatching simulator at a time — the
   /// loop, scale and memory profilers hold the current event between its
   /// begin and end hooks.
+  /// An event already pending when `obs` attaches looks unseen to it: its
+  /// hooks get no schedule record for it (sim/observer.hpp).
   void attach(Observer* obs);
   void detach(Observer* obs);
   const std::vector<Observer*>& observers() const noexcept { return observers_; }
@@ -254,7 +259,28 @@ class Simulator {
   /// Swaps the typed observer `old` for `now` in the list, keeping its
   /// position; appends `now` when `old` is not attached.
   void replace_observer(Observer* old, Observer* now);
+  /// Recomputes records_on_ after the list changed; switching records on
+  /// restarts causal depth at 1.
+  void observers_changed();
   void dispatch(EventQueue::Popped& ev);
+
+  /// A schedule record as the serial backend stores it: with the attach
+  /// epoch it was written in, which tells each observer whether it saw the
+  /// schedule (see observers_since_).
+  struct Scheduled {
+    ScheduleRecord rec;
+    std::uint32_t epoch = 0;  ///< 0: never written
+  };
+  static constexpr int kRecordBlockBits = 10;  ///< 1,024 records per block
+  static constexpr std::uint32_t kRecordMask = (1u << kRecordBlockBits) - 1;
+  /// The record of the event on queue slot `slot`, growing the table.
+  Scheduled& record_at(std::uint32_t slot);
+  /// The record last written for `slot`, or nullptr; it may be stale.
+  const Scheduled* written_at(std::uint32_t slot) const noexcept;
+  /// `s` if the observer at list position `i` saw it written, else nullptr.
+  const ScheduleRecord* seen_by(const Scheduled* s, std::size_t i) const noexcept {
+    return s != nullptr && s->epoch >= observers_since_[i] ? &s->rec : nullptr;
+  }
   /// Shared heartbeat emitter: advances next_heartbeat_ past `sim_now` and
   /// calls the callback once. Used per event by the serial loop and per
   /// barrier window by the sharded coordinator (via the backend accessors).
@@ -280,6 +306,18 @@ class Simulator {
   ShardAuditor* auditor_ = nullptr;   ///< typed views of observers_ entries
   ScaleProfiler* scale_ = nullptr;
   MemProfiler* mem_ = nullptr;
+  /// Per observers_ entry: the attach epoch it joined in. A record written
+  /// in an earlier epoch predates its attachment.
+  std::vector<std::uint32_t> observers_since_;
+  std::uint32_t attach_epoch_ = 0;   ///< bumped by every attach; records start at 1
+  std::uint32_t records_since_ = 0;  ///< the epoch records were last switched on in
+  bool records_on_ = false;          ///< an attached observer reads schedule records
+  /// Schedule records by queue slot, in blocks that never move; allocated
+  /// by the first schedule an observer sees.
+  std::vector<std::unique_ptr<Scheduled[]>> records_;
+  /// Causal depth of the event an observed dispatch is running; 0 outside
+  /// one, so setup schedules are roots.
+  std::uint64_t cur_depth_ = 0;
   ExecProfiler* exec_ = nullptr;
   Tracer tracer_;
   Duration heartbeat_period_{};

@@ -96,6 +96,23 @@ TEST(ParallelOptions, MalformedEnvironmentFallsThrough) {
   EXPECT_EQ(o.shards, 0u);
 }
 
+TEST(ParallelOptions, NegativeOrSuffixedEnvironmentIsNotConfigured) {
+  // Digits only, as the count options read them: a leading '-' must not
+  // wrap around to a huge count, and a suffix must not be cut off.
+  EnvGuard guard;
+  for (const char* v : kVars) ::setenv(v, "-1", 1);
+  const ParallelOptions o =
+      ParallelOptions::resolve(std::nullopt, std::nullopt, std::nullopt, std::nullopt);
+  EXPECT_EQ(o.seed, 1u);
+  EXPECT_EQ(o.jobs, 0u);
+  EXPECT_EQ(o.replicas, 0u);
+  EXPECT_EQ(o.shards, 0u);  // the parse result only: no run starts with it
+  ::setenv("TUSSLE_JOBS", "2x", 1);
+  EXPECT_EQ(ParallelOptions::resolve(std::nullopt, std::nullopt, std::nullopt, std::nullopt)
+                .jobs,
+            0u);
+}
+
 TEST(ParallelOptions, AutoJobsDropToOneUnderShards) {
   EnvGuard guard;
   // Auto jobs + in-run sharding: each run's k workers already fill the

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <optional>
 #include <set>
 #include <stdexcept>
 
@@ -258,6 +259,21 @@ TEST(ResolveJobs, HonorsEnvAndFloor) {
   ::setenv("TUSSLE_JOBS", "3", 1);
   EXPECT_EQ(resolve_jobs(0), 3u);
   EXPECT_EQ(resolve_jobs(2), 2u);  // explicit request beats the env
+  ::unsetenv("TUSSLE_JOBS");
+}
+
+TEST(ResolveJobs, NegativeOrSuffixedEnvIsNotConfigured) {
+  ::unsetenv("TUSSLE_JOBS");
+  const std::size_t automatic = resolve_jobs(0);
+  for (const char* bad : {"-1", "2x", " 2", "+2", "", "0"}) {
+    ::setenv("TUSSLE_JOBS", bad, 1);
+    EXPECT_FALSE(env_count("TUSSLE_JOBS").has_value()) << "'" << bad << "'";
+    EXPECT_EQ(resolve_jobs(0), automatic) << "'" << bad << "'";
+  }
+  ::setenv("TUSSLE_JOBS", "18446744073709551616", 1);  // 2^64: out of range
+  EXPECT_FALSE(env_count("TUSSLE_JOBS").has_value());
+  ::setenv("TUSSLE_JOBS", "7", 1);
+  EXPECT_EQ(env_count("TUSSLE_JOBS"), std::optional<std::uint64_t>(7));
   ::unsetenv("TUSSLE_JOBS");
 }
 

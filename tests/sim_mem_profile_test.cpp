@@ -247,6 +247,42 @@ TEST(MemProfile, DroppedPacketClosesLifetime) {
   EXPECT_EQ(t.mem.sites().at("net.packet").live(), 0);
 }
 
+TEST(MemProfile, PacketRecordsNeverAnswerForTheNextWorld) {
+  // Packet uids restart with each Network. One profiler watches two worlds
+  // in turn: the first stops at a horizon with its packet in flight, and
+  // the second's first packet has the same uid. Its lifetime must run from
+  // its own birth, not from the stranded packet's.
+  sim::MemProfiler mem;
+  auto world = [&mem](sim::SimTime send, sim::SimTime horizon) {
+    sim::Simulator sim;
+    sim.set_mem_profiler(&mem);
+    net::Network net(sim);
+    const auto a = net.add_node(1);
+    const auto b = net.add_node(2);
+    // A 1000-byte packet: 8 µs on the wire, then 10 ms of propagation.
+    net.connect(a, b, 1e9, sim::Duration::millis(10));
+    net.node(b).add_address(addr(2, 1, 1));
+    net.node(a).forwarding().set_default_route(0);
+    sim.schedule_at(send, sim::TaskTag{"test", "inject"}, [&net, a] {
+      net::Packet p;
+      p.src = addr(1, 1, 1);
+      p.dst = addr(2, 1, 1);
+      p.proto = net::AppProto::kWeb;
+      p.size_bytes = 1000;
+      net.node(a).originate(std::move(p));
+    });
+    sim.run(horizon);
+    return net.counters().delivered.value();
+  };
+  ASSERT_EQ(world(sim::SimTime::millis(5), sim::SimTime::millis(6)), 0);
+  ASSERT_EQ(world(sim::SimTime::zero(), sim::SimTime::max()), 1);
+  // 10.008 ms lies in bucket 24, [2^23, 2^24) ns; measured from the first
+  // world's birth at 5 ms it would be 5.008 ms, bucket 23.
+  ASSERT_EQ(hist_total(mem.packet_delivered_hist()), 1u);
+  EXPECT_EQ(mem.packet_delivered_hist().begin()->first, 24u);
+  EXPECT_EQ(mem.sites().at("net.packet").frees, 1u);
+}
+
 TEST(MemProfile, MergeIsAssociative) {
   auto record = [](sim::MemProfiler& m, std::uint64_t base, std::uint64_t n) {
     const sim::TaskTag tag{"test", "ev"};
@@ -254,7 +290,8 @@ TEST(MemProfile, MergeIsAssociative) {
       const std::uint64_t id = base + i;
       const auto at = sim::SimTime::millis(static_cast<std::int64_t>(i + 1));
       m.on_schedule(sim::EventId{id, 0}, sim::SimTime::zero(), at, tag, sim::kNoShard);
-      m.begin_event(sim::EventId{id, 0}, at, static_cast<std::size_t>(n - i), tag);
+      const sim::ScheduleRecord rec{0, 1, sim::kNoShard};
+      m.begin_event(sim::EventId{id, 0}, at, static_cast<std::size_t>(n - i), tag, &rec);
       m.count_alloc("test.obj", 128);
       m.note_hops("test.chase", 2);
       if (i % 2 == 0) m.count_free("test.obj", 128);

@@ -1,24 +1,28 @@
-// Reusing a queue slot never changes a profiler's report.
+// The simulator's schedule records under queue-slot reuse.
 //
-// The scale and memory profilers keep each pending event's record in a
-// table indexed by the event's queue slot, matched on its id's value
-// (sim/observer.hpp). A queue reuses a slot as soon as its event
-// leaves, so these tests drive random mixes of schedules, cancels and
-// zero-delay events through bare Simulators with the auditor and both
-// profilers attached, journal every hook the profilers saw, and replay the
-// journal into fresh profilers with every event on a slot of its own. The
-// reports must be byte-equal. The mixes cover cancel-heavy runs (tombstones
-// hold slots, then free them), events scheduled before the profilers
-// attach, profilers detached and re-attached between runs (events fire
-// unseen and their slots are reused unseen), and one set of profilers
-// watching two simulators in turn, the first stopped at a horizon with
-// events still pending.
+// The serial backend keeps each pending event's ScheduleRecord (schedule
+// time, origin shard, causal depth) in a table indexed by the event's queue
+// slot, and hands it to the cancel and begin hooks (sim/observer.hpp). A
+// queue reuses a slot as soon as its event leaves. These tests drive random
+// mixes of schedules, cancels and zero-delay events through bare Simulators
+// with the auditor, both profilers and a journal attached. The journal
+// keeps every hook and the record each cancel and begin hook was handed; an
+// oracle recomputes every record from the journalled schedules alone, keyed
+// by event id, so no slot is ever shared. The records must match, and
+// profilers fed the oracle's records must write byte-equal reports. The
+// mixes cover cancel-heavy runs (tombstones hold slots, then free them),
+// events scheduled before the observers attach, observers detached and
+// re-attached between runs (events fire unseen and their slots are reused
+// unseen), and one set of observers watching two simulators in turn, the
+// first stopped at a horizon with events still pending.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <random>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,10 +36,10 @@
 namespace tussle::sim {
 namespace {
 
-/// One hook call as the profilers saw it; `world` tells the simulators
+/// One hook call as the observers saw it; `world` tells the simulators
 /// apart, since each one's ids restart.
 struct Hook {
-  enum Kind { kSchedule, kCancel, kBegin, kEnd } kind = kSchedule;
+  enum Kind { kSchedule, kCancel, kBegin, kEnd, kDetach } kind = kSchedule;
   int world = 0;
   EventId id;
   SimTime now;
@@ -43,25 +47,33 @@ struct Hook {
   TaskTag tag;
   ShardId shard = kNoShard;  ///< origin (schedule) or claim (end)
   std::size_t depth = 0;
+  std::optional<ScheduleRecord> rec;  ///< the record a cancel or begin was handed
 };
+
+std::optional<ScheduleRecord> copy(const ScheduleRecord* rec) {
+  return rec != nullptr ? std::optional<ScheduleRecord>(*rec) : std::nullopt;
+}
 
 class Journal final : public Observer {
  public:
   void on_schedule(EventId id, SimTime now, SimTime at, const TaskTag& tag,
                    ShardId origin) override {
-    hooks.push_back(Hook{Hook::kSchedule, world, id, now, at, tag, origin, 0});
+    hooks.push_back(Hook{Hook::kSchedule, world, id, now, at, tag, origin, 0, std::nullopt});
   }
-  void on_cancel(EventId id, SimTime now) override {
-    hooks.push_back(Hook{Hook::kCancel, world, id, now, SimTime{}, TaskTag{}, kNoShard, 0});
+  void on_cancel(EventId id, SimTime now, const TaskTag& tag,
+                 const ScheduleRecord* rec) override {
+    hooks.push_back(Hook{Hook::kCancel, world, id, now, SimTime{}, tag, kNoShard, 0, copy(rec)});
   }
-  void begin_event(EventId id, SimTime now, std::size_t queue_depth,
-                   const TaskTag& tag) override {
-    hooks.push_back(Hook{Hook::kBegin, world, id, now, SimTime{}, tag, kNoShard, queue_depth});
+  void begin_event(EventId id, SimTime now, std::size_t queue_depth, const TaskTag& tag,
+                   const ScheduleRecord* rec) override {
+    hooks.push_back(
+        Hook{Hook::kBegin, world, id, now, SimTime{}, tag, kNoShard, queue_depth, copy(rec)});
   }
   void end_event(ShardId claimed) override {
     hooks.push_back(Hook{Hook::kEnd, world, EventId{}, SimTime{}, SimTime{}, TaskTag{}, claimed,
-                         0});
+                         0, std::nullopt});
   }
+  bool reads_schedule_records() const override { return true; }
 
   int world = 0;
   std::vector<Hook> hooks;
@@ -88,6 +100,8 @@ struct Observed {
     sim.set_scale_profiler(nullptr);
     sim.set_mem_profiler(nullptr);
     sim.detach(&journal);
+    journal.hooks.push_back(Hook{Hook::kDetach, journal.world, EventId{}, SimTime{},
+                                 SimTime{}, TaskTag{}, kNoShard, 0, std::nullopt});
   }
 };
 
@@ -154,51 +168,74 @@ class Mix {
   std::vector<EventId> ids_;
 };
 
-/// Replays the journal into fresh profilers, giving every event a slot of
-/// its own: no slot is ever reused, so no record can be mistaken for
-/// another. Hooks for an event the profilers never saw scheduled get a
-/// fresh slot too, as a first sight does.
+/// Replays the journal into fresh profilers with the oracle's records. The
+/// oracle keys each record by (world, id value): an event has one when its
+/// schedule was journalled since the observers last attached, its depth is
+/// 1 + the depth of the event dispatching when it was scheduled (1 outside
+/// a dispatch), and an event without one runs at depth 1. Every record the
+/// simulator handed out must equal the oracle's.
 std::pair<std::string, std::string> replay(const std::vector<Hook>& hooks) {
   ScaleProfiler scale;
   MemProfiler mem;
-  std::map<std::pair<int, std::uint64_t>, std::uint32_t> slot_of;
-  std::uint32_t next_slot = 0;
-  auto own = [&](const Hook& h) {
-    const auto key = std::make_pair(h.world, h.id.value);
-    if (h.kind == Hook::kSchedule) slot_of[key] = next_slot++;
-    const auto it = slot_of.find(key);
-    return EventId{h.id.value, it != slot_of.end() ? it->second : next_slot++};
+  std::map<std::pair<int, std::uint64_t>, ScheduleRecord> records;
+  std::uint64_t cur_depth = 0;  ///< the dispatching event's depth; 0 outside one
+  auto oracle = [&](const Hook& h) -> const ScheduleRecord* {
+    const auto it = records.find({h.world, h.id.value});
+    const ScheduleRecord* rec = it != records.end() ? &it->second : nullptr;
+    EXPECT_EQ(h.rec, copy(rec)) << "world " << h.world << ", event " << h.id.value
+                                << " on slot " << h.id.slot;
+    return rec;
   };
   for (const Hook& h : hooks) {
-    if (h.kind == Hook::kEnd) {
-      mem.end_event(h.shard);
-      scale.end_event(h.shard);
-      continue;
-    }
-    const EventId id = own(h);
     switch (h.kind) {
+      case Hook::kDetach:
+        records.clear();
+        break;
       case Hook::kSchedule:
-        scale.on_schedule(id, h.now, h.at, h.tag, h.shard);
-        mem.on_schedule(id, h.now, h.at, h.tag, h.shard);
+        records[{h.world, h.id.value}] = ScheduleRecord{h.now.as_nanos(), cur_depth + 1, h.shard};
+        scale.on_schedule(h.id, h.now, h.at, h.tag, h.shard);
+        mem.on_schedule(h.id, h.now, h.at, h.tag, h.shard);
         break;
-      case Hook::kCancel:
-        scale.on_cancel(id, h.now);
-        mem.on_cancel(id, h.now);
+      case Hook::kCancel: {
+        const ScheduleRecord* rec = oracle(h);
+        scale.on_cancel(h.id, h.now, h.tag, rec);
+        mem.on_cancel(h.id, h.now, h.tag, rec);
+        records.erase({h.world, h.id.value});
         break;
-      case Hook::kBegin:
-        scale.begin_event(id, h.now, h.depth, h.tag);
-        mem.begin_event(id, h.now, h.depth, h.tag);
+      }
+      case Hook::kBegin: {
+        const ScheduleRecord* rec = oracle(h);
+        cur_depth = rec != nullptr ? rec->depth : 1;
+        scale.begin_event(h.id, h.now, h.depth, h.tag, rec);
+        mem.begin_event(h.id, h.now, h.depth, h.tag, rec);
+        records.erase({h.world, h.id.value});
         break;
+      }
       case Hook::kEnd:
+        cur_depth = 0;
+        mem.end_event(h.shard);
+        scale.end_event(h.shard);
         break;
     }
   }
   return {scale.report_json(), mem.report_json()};
 }
 
+/// Slots that held more than one journalled event of one world.
+std::size_t reused_slots(const std::vector<Hook>& hooks) {
+  std::map<std::pair<int, std::uint32_t>, std::set<std::uint64_t>> values;
+  for (const Hook& h : hooks) {
+    if (h.kind == Hook::kSchedule) values[{h.world, h.id.slot}].insert(h.id.value);
+  }
+  std::size_t n = 0;
+  for (const auto& [slot, v] : values) n += v.size() > 1 ? 1 : 0;
+  return n;
+}
+
 void expect_replay_matches(const Observed& o) {
   ASSERT_GT(o.scale.work(), 100u);
   ASSERT_GT(o.scale.events_cancelled(), 0u);
+  ASSERT_GT(reused_slots(o.journal.hooks), 0u);
   const auto [scale, mem] = replay(o.journal.hooks);
   EXPECT_EQ(o.scale.report_json(), scale);
   EXPECT_EQ(o.mem.report_json(), mem);
@@ -220,7 +257,7 @@ TEST_P(ObserverSlots, EventsScheduledBeforeAttachingAreCausalRoots) {
   Observed o;
   Simulator sim(GetParam());
   Mix mix(sim, GetParam(), /*cancel_share=*/0.3);
-  mix.seed_events(150, 2000);  // unseen: no records, no control blocks
+  mix.seed_events(150, 2000);  // unseen: no records, so causal roots
   o.attach(sim);
   mix.seed_events(50, 2000);
   sim.run();
@@ -229,8 +266,9 @@ TEST_P(ObserverSlots, EventsScheduledBeforeAttachingAreCausalRoots) {
 
 TEST_P(ObserverSlots, DetachingAndReattachingMidRunLeavesNoStaleMatch) {
   // Events scheduled while attached fire while detached, and the events
-  // that reuse their slots are scheduled unseen: their records must stay
-  // unmatched when those later events fire after re-attaching.
+  // that reuse their slots are scheduled unseen: their stale records must
+  // not answer when those later events fire after re-attaching, and an
+  // event scheduled before a detach looks unseen after the re-attach.
   Observed o;
   Simulator sim(GetParam());
   o.attach(sim);
@@ -249,9 +287,9 @@ TEST_P(ObserverSlots, DetachingAndReattachingMidRunLeavesNoStaleMatch) {
 }
 
 TEST_P(ObserverSlots, OneSetOfProfilersWatchesTwoSimulatorsInTurn) {
-  // The first world stops at a horizon with events pending, so its records
-  // stay behind; the second world's queue hands out the same slots and
-  // values again, and its sim time restarts at 0.
+  // The first world stops at a horizon with events pending; the second
+  // world's queue hands out the same slots and values again, and its sim
+  // time restarts at 0.
   Observed o;
   {
     Simulator first(GetParam());

@@ -40,8 +40,12 @@ class Recorder final : public Observer {
   void on_schedule(EventId, SimTime, SimTime, const TaskTag&, ShardId) override {
     ++scheduled;
   }
-  void on_cancel(EventId, SimTime) override { ++cancelled; }
-  void begin_event(EventId, SimTime, std::size_t, const TaskTag&) override {
+  void on_cancel(EventId, SimTime, const TaskTag&, const ScheduleRecord*) override {
+    ++cancelled;
+  }
+  void begin_event(EventId, SimTime, std::size_t, const TaskTag&,
+                   const ScheduleRecord* rec) override {
+    if (rec != nullptr) ++with_record;
     if (journal_ != nullptr) journal_->push_back("begin " + name_);
   }
   void end_event(ShardId claimed) override {
@@ -63,6 +67,7 @@ class Recorder final : public Observer {
 
   std::uint64_t scheduled = 0;
   std::uint64_t cancelled = 0;
+  std::uint64_t with_record = 0;  ///< begin hooks handed a schedule record
   std::map<ShardId, std::uint64_t> claims;  ///< end_event claims
   std::vector<ShardId> fold_order;          ///< claimed owner of each folded lane
   mutable int lanes_made = 0;
@@ -163,6 +168,32 @@ TEST(Observer, EndHooksReceiveTheAuditorsClaim) {
   sim.run();
   EXPECT_EQ(r.claims, (std::map<ShardId, std::uint64_t>{{7, 1}, {kNoShard, 1}}));
   EXPECT_EQ(audit.current(), kNoShard);  // reset between events
+}
+
+TEST(Observer, RecordsAreWrittenOnlyWhileAReaderIsAttached) {
+  // The recorder reads no records: alone, or with the auditor, it is
+  // handed none, because none are written. Once the scale profiler (a
+  // reader) attaches, events scheduled after that carry records, and the
+  // recorder, attached all along, is handed them too.
+  Simulator sim;
+  Recorder r;
+  ShardAuditor audit;
+  ScaleProfiler scale;
+  sim.attach(&r);
+  sim.set_auditor(&audit);
+  sim.schedule(Duration::millis(1), [] {});
+  sim.run();
+  EXPECT_EQ(r.with_record, 0u);
+  const EventId early = sim.schedule(Duration::millis(1), [] {});
+  sim.set_scale_profiler(&scale);
+  sim.schedule(Duration::millis(2), [&sim] { sim.schedule(Duration::millis(1), [] {}); });
+  sim.run();
+  // `early` was scheduled before records were on: a causal root for the
+  // profiler, and no record for anyone. The other two carry records.
+  EXPECT_EQ(r.with_record, 2u);
+  EXPECT_EQ(scale.work(), 3u);
+  EXPECT_EQ(scale.critical_path_length(), 2u);
+  EXPECT_FALSE(sim.cancel(early));
 }
 
 TEST(Observer, TypedSettersReplaceInPlaceAndDetach) {

@@ -124,9 +124,11 @@ TEST(ScaleProfile, SpeedupCurveHitsExactBounds) {
     sp.on_schedule(sim::EventId{i, static_cast<std::uint32_t>(i)}, sim::SimTime::zero(),
                    sim::SimTime::zero(), tag, sim::kNoShard);
   }
+  // Eight setup-time roots: depth 1, no origin.
+  const sim::ScheduleRecord root{0, 1, sim::kNoShard};
   for (std::uint64_t i = 1; i <= 8; ++i) {
     sp.begin_event(sim::EventId{i, static_cast<std::uint32_t>(i)}, sim::SimTime::zero(), 8 - i,
-                   tag);
+                   tag, &root);
     sp.end_event(static_cast<sim::ShardId>(i));
   }
   EXPECT_EQ(sp.work(), 8u);
@@ -160,8 +162,10 @@ TEST(ScaleProfile, SerialChainCapsSpeedupAtOne) {
                  sim::kNoShard);
   for (std::uint64_t i = 1; i <= 4; ++i) {
     const auto now = sim::SimTime::nanos(static_cast<std::int64_t>(i));
-    sp.begin_event(sim::EventId{i, 0}, now, 1, tag);
-    // The child of the running event.
+    // Event i is the child of event i - 1, scheduled when that one ran.
+    const sim::ScheduleRecord rec{static_cast<std::int64_t>(i) - 1, i,
+                                  i == 1 ? sim::kNoShard : 1u};
+    sp.begin_event(sim::EventId{i, 0}, now, 1, tag, &rec);
     if (i < 4) sp.on_schedule(sim::EventId{i + 1, 0}, now, now, tag, 1u);
     sp.end_event(1u);
   }
@@ -183,7 +187,7 @@ TEST(ScaleProfile, QueueDepthHistogramBucketsPowersOfTwo) {
     ++id;
     sp.on_schedule(sim::EventId{id, 0}, sim::SimTime::zero(), sim::SimTime::zero(), tag,
                    sim::kNoShard);
-    sp.begin_event(sim::EventId{id, 0}, sim::SimTime::zero(), d, tag);
+    sp.begin_event(sim::EventId{id, 0}, sim::SimTime::zero(), d, tag, nullptr);
     sp.end_event(sim::kNoShard);
   }
   const auto q = sp.queue_stats();
@@ -240,8 +244,10 @@ TEST(ScaleProfile, MergePoolsRunsAssociatively) {
                    tag, sim::kNoShard);
     for (std::uint64_t i = 1; i <= events; ++i) {
       const auto now = sim::SimTime::nanos(t0_ns + static_cast<std::int64_t>(i));
-      sp.begin_event(sim::EventId{i, 0}, now, events - i, tag);
-      // A causal child.
+      // Event i is the causal child of event i - 1; the first is a root.
+      const sim::ScheduleRecord rec{t0_ns + static_cast<std::int64_t>(i) - 1, i,
+                                    i == 1 ? sim::kNoShard : shard};
+      sp.begin_event(sim::EventId{i, 0}, now, events - i, tag, &rec);
       if (i < events) sp.on_schedule(sim::EventId{i + 1, 0}, now, now, tag, shard);
       sp.end_event(shard);
     }
