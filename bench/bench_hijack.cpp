@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
       {"X1", "SII-B byzantine actors in routing (extension)",
        "A false-origin announcement captures a large share of the network\n"
        "under plain Gao-Rexford; origin validation eliminates the capture.\n"
-       "Capture grows with the hijacker's position in the hierarchy."},
+       "Which hijacker tier captures the most depends on the sampled hierarchy."},
       [](bench::Harness& bh) {
         core::ScenarioSpec tiers;
         tiers.name = "hijack-by-tier";

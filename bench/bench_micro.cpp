@@ -108,17 +108,19 @@ BENCHMARK(BM_SimulatorEventDispatch);
 /// shard auditor, then the scale and memory profilers.
 enum ObserverSet : unsigned { kBare = 0, kAudit = 1, kScale = 2, kMem = 4, kAll = 7 };
 
-/// The observers of one world. A profiler attached without kAudit still
-/// gets an auditor, fail-soft, for its shard attribution, as the sweep
-/// attaches the profilers.
+/// The observers of one world. The scale profiler attached without kAudit
+/// still gets an auditor, fail-soft, for its shard attribution, as the
+/// sweep attaches it; the memory profiler reads none.
 struct Observers {
   sim::ShardAuditor audit;
   sim::ScaleProfiler scale;
   sim::MemProfiler mem;
 
   void attach(sim::Simulator& sim, unsigned set) {
-    audit.set_fail_fast((set & kAudit) != 0);
-    sim.set_auditor(&audit);
+    if ((set & (kAudit | kScale)) != 0) {
+      audit.set_fail_fast((set & kAudit) != 0);
+      sim.set_auditor(&audit);
+    }
     if ((set & kScale) != 0) sim.set_scale_profiler(&scale);
     if ((set & kMem) != 0) sim.set_mem_profiler(&mem);
   }
@@ -169,8 +171,8 @@ void BM_ObservedForwardingLine(benchmark::State& state) { forwarding_line(state,
 BENCHMARK(BM_ObservedForwardingLine)->Arg(8);
 
 // Each observer alone, so a change to one shows in its own row: the
-// auditor (fail-fast, as --audit runs it), and each profiler with the
-// fail-soft auditor the sweep gives it.
+// auditor (fail-fast, as --audit runs it), the scale profiler with the
+// fail-soft auditor the sweep gives it, and the memory profiler alone.
 void BM_AuditedForwardingLine(benchmark::State& state) { forwarding_line(state, kAudit); }
 BENCHMARK(BM_AuditedForwardingLine)->Arg(8);
 void BM_ScaleProfiledForwardingLine(benchmark::State& state) {

@@ -253,14 +253,11 @@ std::string exec_summary(const sim::ExecProfiler& e) {
 }
 
 std::string mem_summary(const sim::MemProfiler& m) {
-  return strprintf("mem profile: %llu events over %llu runs, peak %lld bytes "
-                   "(%.1f/actor over %llu actors), %llu allocs (%.2f/event), %zu sites\n",
+  return strprintf("mem profile: %llu events over %llu runs, %llu packets born, %llu actors\n",
                    static_cast<unsigned long long>(m.work()),
                    static_cast<unsigned long long>(m.runs()),
-                   static_cast<long long>(m.peak_live_bytes()), m.live_bytes_per_actor(),
-                   static_cast<unsigned long long>(m.actor_count()),
-                   static_cast<unsigned long long>(m.alloc_count()), m.allocs_per_event(),
-                   m.sites().size());
+                   static_cast<unsigned long long>(m.packets_born()),
+                   static_cast<unsigned long long>(m.actor_count()));
 }
 
 /// The --json report: metrics, wall time, event totals and hotspots.

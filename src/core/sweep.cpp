@@ -115,18 +115,13 @@ void RunContext::instrument(sim::Simulator& sim) {
   }
   if (run_.scale) sim.set_scale_profiler(run_.scale.get());
   if (run_.exec) sim.set_exec_profiler(run_.exec.get());
-  if (sim::MemProfiler* m = run_.mem.get()) {
-    sim.set_mem_profiler(m);
-    // The sweep engine's own per-run state is part of the footprint the
-    // million-actor refactor has to carry; account it like any component.
-    m->count_alloc("core.sweep_run", sizeof(RunResult));
+  if (run_.mem) {
+    sim.set_mem_profiler(run_.mem.get());
     if (run_.timeseries) {
-      // Satellite gauges: memory over sim time rides the same dashboard as
-      // every other series. Probes fire only while the body samples, so
-      // the captured simulator reference cannot outlive its run.
+      // Queue depth over sim time rides the same dashboard as every other
+      // series. Probes fire only while the body samples, so the captured
+      // simulator reference cannot outlive its run.
       sim::Simulator* s = &sim;
-      run_.timeseries->probe("mem.live_bytes",
-                             [m] { return static_cast<double>(m->live_bytes()); });
       run_.timeseries->probe("sim.queue_depth",
                              [s] { return static_cast<double>(s->events_pending()); });
     }
@@ -269,10 +264,10 @@ SweepResult run_sweep(const ScenarioSpec& spec, const SweepOptions& opts) {
           slot.timeseries = std::make_unique<sim::TimeSeriesRecorder>(
               sim::Duration::seconds(opts.timeseries_seconds));
         }
-        if (opts.audit || opts.scale || opts.mem) {
-          // Shard attribution (scale load, memory footprint) rides the
-          // auditor's claims; without --audit it is fail-soft, so
-          // profiling never turns into policing.
+        if (opts.audit || opts.scale) {
+          // The scale profiler's shard attribution rides the auditor's
+          // claims; without --audit it is fail-soft, so profiling never
+          // turns into policing.
           slot.audit = std::make_unique<sim::ShardAuditor>();
           slot.audit->set_fail_fast(opts.audit);
         }

@@ -172,12 +172,10 @@ class RunContext {
   sim::ShardAuditor* audit() noexcept { return run_.audit.get(); }
 
   /// This run's memory profiler, or nullptr unless SweepOptions::mem was
-  /// set. instrument() attaches it to the simulator (plus a fail-soft
-  /// auditor when --audit did not create one, so per-shard footprint
-  /// attribution always works) and registers live-bytes / queue-depth
-  /// gauges on the run's TimeSeriesRecorder when one exists. Each run
-  /// profiles into its own instance, merged in run-index order — so merged
-  /// exports are byte-identical at any --jobs.
+  /// set. instrument() attaches it to the simulator and registers a
+  /// queue-depth gauge on the run's TimeSeriesRecorder when one exists.
+  /// Each run profiles into its own instance, merged in run-index order —
+  /// so merged exports are byte-identical at any --jobs.
   sim::MemProfiler* mem() noexcept { return run_.mem.get(); }
 
  private:
@@ -237,8 +235,7 @@ struct SweepOptions {
   bool exec = false;
   /// Give each run its own MemProfiler via RunContext::mem() (merged
   /// afterwards in run-index order; sim-deterministic, so merged exports
-  /// are byte-identical at any --jobs). Implies a fail-soft ShardAuditor
-  /// when audit is off. Serial backend only, like `scale`.
+  /// are byte-identical at any --jobs). Serial backend only, like `scale`.
   bool mem = false;
   /// In-run parallelism: when > 0, RunContext::instrument() installs a
   /// sim::ShardedBackend with this many worker threads on the run's

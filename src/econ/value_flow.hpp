@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "routing/source_route.hpp"
-#include "sim/mem_profile.hpp"
 #include "sim/shard_audit.hpp"
 #include "sim/span.hpp"
 
@@ -60,19 +59,11 @@ class Ledger {
   void set_auditor(sim::ShardAuditor* auditor) noexcept { auditor_ = auditor; }
   sim::ShardAuditor* auditor() const noexcept { return auditor_; }
 
-  /// Attaches a memory profiler: each transfer's audit-log entry is then
-  /// accounted as an allocation under "econ.ledger_entry" (struct plus the
-  /// string payloads it retains), so the report shows how fast the ledger's
-  /// unbounded log grows per settled packet.
-  void set_mem_profiler(sim::MemProfiler* mem) noexcept { mem_ = mem; }
-  sim::MemProfiler* mem_profiler() const noexcept { return mem_; }
-
  private:
   std::map<std::string, double> balances_;
   std::vector<Entry> log_;
   sim::SpanTracer* spans_ = nullptr;
   sim::ShardAuditor* auditor_ = nullptr;
-  sim::MemProfiler* mem_ = nullptr;
 };
 
 /// Prices and settles paid source routes.

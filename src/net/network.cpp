@@ -307,7 +307,7 @@ void Network::emit(const PacketEvent& e) {
   switch (e.kind) {
     case PacketEventKind::kOriginate:
       counters().originated.add();
-      if (auto* mp = mem_profiler()) mp->packet_birth(mem_space(*mp), e.uid, now, e.bytes);
+      if (auto* mp = mem_profiler()) mp->packet_birth(mem_space(*mp), e.uid, now);
       if (spans_ != nullptr) {
         spans_->annotate(spans_->packet_span(now, e.uid, e.flow), {"origin", e.node});
       }

@@ -124,7 +124,6 @@ struct PacketEvent {
   FlowId flow = 0;
   NodeId node = kNoNode;          ///< acting node; a link drop in flight names the receiver
   LinkId link = 0;                ///< kEnqueue and link drops (queue-full, link-down)
-  std::uint64_t bytes = 0;        ///< kOriginate: modeled size, sizeof(Packet) + wire bytes
   std::uint64_t queued = 0;       ///< kEnqueue: packets in the queue after the enqueue
   std::uint8_t ttl = 0;           ///< kForward: the TTL after the decrement
   double latency_s = 0;           ///< kDeliver: end-to-end latency, seconds
@@ -219,10 +218,10 @@ class Network {
   sim::ShardAuditor* auditor() const noexcept { return sim_->auditor(); }
 
   /// Memory profiler, read through the owning simulator like the auditor.
-  /// add_node/connect register actor footprints, emit() records packet
-  /// birth/death lifetimes and link-queue occupancy, and forwarding notes
-  /// FIB pointer-chase depth. Null (the default) costs one pointer load +
-  /// branch per hook point. Serial backend only (see Simulator).
+  /// add_node/connect register actors in its census, emit() records packet
+  /// birth/death lifetimes and link-queue occupancy, and forwarding samples
+  /// FIB occupancy. Null (the default) costs one pointer load + branch per
+  /// hook point. Serial backend only (see Simulator).
   sim::MemProfiler* mem_profiler() const noexcept { return sim_->mem_profiler(); }
 
   /// The one choke point of the packet lifecycle: every originate, mirror,

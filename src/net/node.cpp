@@ -61,10 +61,6 @@ void Node::renumber(std::vector<Address> addrs) {
 
 ForwardingTable& Node::forwarding() {
   audit_mutation("forwarding");
-  // Refresh the route-accounting hook from the simulator's memory profiler,
-  // which may have been attached or detached since the last call (serial
-  // runs only; a sharded run has none).
-  fib_.set_mem_profiler(net_->mem_profiler());
   return fib_;
 }
 
@@ -107,8 +103,7 @@ void Node::originate(Packet p) {
   p.sent_at_s = net_->simulator().now().as_seconds();
   // Birth of the packet's one identity: encapsulation and mirroring keep
   // the uid, so the lifetime closes exactly once, at deliver or drop.
-  net_->emit({.kind = PacketEventKind::kOriginate, .uid = p.uid, .flow = p.flow, .node = id_,
-              .bytes = sizeof(Packet) + p.size_bytes});
+  net_->emit({.kind = PacketEventKind::kOriginate, .uid = p.uid, .flow = p.flow, .node = id_});
   forward(std::move(p));
 }
 
@@ -224,13 +219,7 @@ bool Node::deliver_local(Packet& p) {
   // Tunnel endpoint: unwrap and keep going with the inner packet.
   if (p.inner) {
     if (auto inner = p.decapsulate()) {
-      if (auto* mp = net_->mem_profiler()) {
-        // Decapsulation copies the inner packet out of its shared_ptr:
-        // transient churn, allocated and freed within the event. The
-        // packet identity (uid) survives, so no lifetime closes here.
-        mp->count_alloc("net.packet.decap", sizeof(Packet));
-        mp->count_free("net.packet.decap", sizeof(Packet));
-      }
+      // The packet identity (uid) survives, so no lifetime closes here.
       forward(std::move(*inner));
       return true;
     }
@@ -249,9 +238,7 @@ void Node::forward(Packet&& p) {
 
 void Node::route(Packet&& p) {
   if (auto* mp = net_->mem_profiler()) {
-    // One FIB lookup chases node -> fib -> prefix bucket -> entry ->
-    // interface: the pointer-chase the SoA/arena refactor would flatten.
-    mp->note_hops("net.forward", 4);
+    // The table this lookup searches: the sizing input for a flat FIB.
     mp->note_occupancy("net.fib", fib_.prefix_entries() + fib_.as_entries());
   }
 

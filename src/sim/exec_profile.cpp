@@ -71,9 +71,7 @@ void ExecProfiler::WorkerLane::owner_events(ShardId owner, std::uint64_t events)
 
 void ExecProfiler::WorkerLane::drained(ShardId src, ShardId dst, std::uint64_t events) {
   if (events == 0) return;
-  Volume& v = volumes_[{src, dst}];
-  v.events += events;
-  v.bytes += events * kMsgBytes;
+  volumes_[{src, dst}] += events;
 }
 
 // --------------------------------------------------------------- recording --
@@ -123,9 +121,7 @@ void ExecProfiler::record_fold(double seconds) { cur_.fold_seconds += seconds; }
 
 void ExecProfiler::record_drained(ShardId src, ShardId dst, std::uint64_t events) {
   if (events == 0) return;
-  Volume& v = cur_.volumes[{src, dst}];
-  v.events += events;
-  v.bytes += events * kMsgBytes;
+  cur_.volumes[{src, dst}] += events;
 }
 
 void ExecProfiler::end_run() {
@@ -149,11 +145,7 @@ void ExecProfiler::end_run() {
       if (r.window >= cur_.windows.size()) continue;
       cur_.windows[r.window].owner_events[r.owner] += r.events;
     }
-    for (const auto& [key, v] : lane.volumes_) {
-      Volume& dst = cur_.volumes[key];
-      dst.events += v.events;
-      dst.bytes += v.bytes;
-    }
+    for (const auto& [key, n] : lane.volumes_) cur_.volumes[key] += n;
   }
   lanes_.clear();
   runs_.push_back(std::move(cur_));
@@ -231,14 +223,10 @@ std::vector<ExecProfiler::WorkerShare> ExecProfiler::worker_shares() const {
   return out;
 }
 
-std::map<std::pair<ShardId, ShardId>, ExecProfiler::Volume> ExecProfiler::volumes() const {
-  std::map<std::pair<ShardId, ShardId>, Volume> out;
+ExecProfiler::Volumes ExecProfiler::volumes() const {
+  Volumes out;
   for (const auto& r : runs_) {
-    for (const auto& [key, v] : r.volumes) {
-      Volume& dst = out[key];
-      dst.events += v.events;
-      dst.bytes += v.bytes;
-    }
+    for (const auto& [key, n] : r.volumes) out[key] += n;
   }
   return out;
 }
@@ -373,12 +361,11 @@ std::string ExecProfiler::report_json() const {
   w.end_object();
 
   w.key("outbox").begin_array();
-  for (const auto& [key, v] : volumes()) {
+  for (const auto& [key, n] : volumes()) {
     w.begin_object();
     w.key("src").value(shard_label(key.first));
     w.key("dst").value(shard_label(key.second));
-    w.key("events").value(v.events);
-    w.key("bytes").value(v.bytes);
+    w.key("events").value(n);
     w.end_object();
   }
   w.end_array();

@@ -13,7 +13,7 @@
 //   lane fold     — folding per-owner state lanes before control events,
 //
 // plus window occupancy (events dispatched against the lookahead horizon),
-// per-(src, dst) outbox message/byte volumes, and per-jthread busy/idle
+// per-(src, dst) outbox message volumes, and per-jthread busy/idle
 // shares. The same hooks wrap the serial backend's dispatch loop (one
 // window per run() call, all of it dispatch on worker 0), so serial and
 // sharded runs export the same report schema.
@@ -53,10 +53,6 @@ class ExecProfiler {
   /// Wall-time slices beyond this many windows per run are dropped from the
   /// Chrome trace (aggregates stay complete) so long runs stay bounded.
   static constexpr std::size_t kMaxSliceWindows = 512;
-  /// Modeled bytes per cross-owner message (control block + payload
-  /// handle): the MemProfiler's event control block,
-  /// kEventControlBlockBytes (sim/mem_profile.hpp).
-  static constexpr std::uint64_t kMsgBytes = 96;
 
   /// One worker's share of one barrier window (seconds of wall time).
   struct WorkerSlice {
@@ -87,10 +83,9 @@ class ExecProfiler {
     std::uint64_t events = 0;
   };
 
-  struct Volume {
-    std::uint64_t events = 0;
-    std::uint64_t bytes = 0;
-  };
+  /// (src owner, dst owner) -> messages drained; dst == kNoShard is the
+  /// control-queue inbox.
+  using Volumes = std::map<std::pair<ShardId, ShardId>, std::uint64_t>;
 
   /// One backend run() invocation.
   struct Run {
@@ -103,9 +98,7 @@ class ExecProfiler {
     std::uint64_t control_events = 0;
     std::vector<Window> windows;
     std::vector<ControlBatch> control_batches;
-    /// (src owner, dst owner) -> drained message volume; dst == kNoShard is
-    /// the control-queue inbox.
-    std::map<std::pair<ShardId, ShardId>, Volume> volumes;
+    Volumes volumes;
   };
 
   /// Per-worker recording surface. Worker w writes only lane(w), strictly
@@ -141,7 +134,7 @@ class ExecProfiler {
     std::uint32_t windows_done_ = 0;
     std::vector<WinRec> windows_;
     std::vector<OwnRec> owners_;
-    std::map<std::pair<ShardId, ShardId>, Volume> volumes_;
+    Volumes volumes_;
   };
 
   // --- recording: coordinator / backend thread only ------------------------
@@ -193,7 +186,7 @@ class ExecProfiler {
   std::vector<WorkerShare> worker_shares() const;
 
   /// Pooled per-(src, dst) drained-message volumes across runs.
-  std::map<std::pair<ShardId, ShardId>, Volume> volumes() const;
+  Volumes volumes() const;
 
   /// Window-occupancy histogram: log2 bucket of events-per-window -> count
   /// (bucket b covers [2^(b-1), 2^b - 1], bucket 0 = empty windows).

@@ -182,8 +182,7 @@ void observe_end(const List& obs, ShardId claimed) {
 // (see the top of this file).
 //
 // Names. Every hook that takes a name (a TaskTag's fields, MemProfiler's
-// sites, chase and occupancy names, the auditor's component kinds and
-// mutators) takes a const char* with the TaskTag contract: a string
+// occupancy names, the auditor's component kinds and mutators) takes a const char* with the TaskTag contract: a string
 // literal, or text that outlives the observer and never changes. The cells
 // are found by the pointer; an address not seen before is matched by its
 // text, and cached, so two literals with the same text share one cell. A
@@ -216,21 +215,20 @@ class LocalCache {
   T value_{};
 };
 
-/// Cells of a std::map<std::string, V> keyed `prefix + name`, found by
-/// the name's address in a short list of the names already resolved; a
-/// name at an address not in the list is matched by its text and joins the
-/// list. A hit compares pointers only, and builds no std::string; a new
-/// name is inserted once. `name` follows the literal contract above, and
-/// one NamedCells always gets the same `prefix`. Hold it in a LocalCache:
-/// the list points into one map's nodes.
+/// Cells of a std::map<std::string, V> keyed by name, found by the
+/// name's address in a short list of the names already resolved; a name at
+/// an address not in the list is matched by its text and joins the list.
+/// A hit compares pointers only, and builds no std::string; a new name is
+/// inserted once. `name` follows the literal contract above. Hold it in a
+/// LocalCache: the list points into one map's nodes.
 template <typename V>
 class NamedCells {
  public:
-  V& get(std::map<std::string, V>& map, const char* name, const char* prefix = "") {
+  V& get(std::map<std::string, V>& map, const char* name) {
     for (const Entry& e : entries_) {
       if (e.name == name) return *e.cell;
     }
-    return add(map, name, prefix);
+    return add(map, name);
   }
 
  private:
@@ -239,7 +237,7 @@ class NamedCells {
     V* cell = nullptr;
   };
 
-  V& add(std::map<std::string, V>& map, const char* name, const char* prefix) {
+  V& add(std::map<std::string, V>& map, const char* name) {
     V* cell = nullptr;
     for (const Entry& e : entries_) {
       if (std::strcmp(e.name, name) == 0) {
@@ -247,7 +245,7 @@ class NamedCells {
         break;
       }
     }
-    if (cell == nullptr) cell = &map.try_emplace(std::string(prefix) + name).first->second;
+    if (cell == nullptr) cell = &map.try_emplace(name).first->second;
     entries_.push_back(Entry{name, cell});
     return *cell;
   }

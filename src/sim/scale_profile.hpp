@@ -19,9 +19,9 @@
 //      while another event is dispatching is its causal child, so the
 //      longest schedule-parent chain is the span of the event DAG and
 //      work/span bounds any parallel speedup;
-//  (d) the event-queue depth histogram, sampled at each dispatch. Memory
-//      itself (allocation sites, actor footprints, lifetimes) is
-//      MemProfiler's report (sim/mem_profile.hpp).
+//  (d) the event-queue depth histogram, sampled at each dispatch: the one
+//      queue-depth record (lifetimes, container occupancy and the actor
+//      census are MemProfiler's report, sim/mem_profile.hpp).
 //
 // It also *predicts* barrier-round PDES speedup at k worker shards by
 // replaying the recorded per-window shard loads through a virtual

@@ -175,8 +175,8 @@ class Simulator {
   /// before run(): the sharded backend builds its lanes at run() start.
   /// Not owned; must outlive the simulator or be detached first. One
   /// observer instance serves one dispatching simulator at a time — the
-  /// loop, scale and memory profilers hold the current event between its
-  /// begin and end hooks.
+  /// loop and scale profilers hold the current event between its begin
+  /// and end hooks.
   /// An event already pending when `obs` attaches looks unseen to it: its
   /// hooks get no schedule record for it (sim/observer.hpp).
   void attach(Observer* obs);
@@ -207,13 +207,11 @@ class Simulator {
   ScaleProfiler* scale_profiler() const noexcept { return scale_; }
 
   /// Attaches (or detaches, with nullptr) the memory profiler, replacing
-  /// any attached before in its list position. It accounts
-  /// event-control-block churn and lifetimes from the observer hooks;
-  /// components report packet births/deaths, actor registrations, and
-  /// pointer-chase hops through it (see sim/mem_profile.hpp). Works best
-  /// with an auditor attached too — per-shard footprints come from the
-  /// auditor's claims. Not owned. Serial backend only, like the scale
-  /// profiler.
+  /// any attached before in its list position. It counts events and their
+  /// sim-time lifetimes from the observer hooks; components report packet
+  /// births/deaths, actor registrations and container occupancy through
+  /// it (see sim/mem_profile.hpp). Not owned. Serial backend only, like
+  /// the scale profiler.
   void set_mem_profiler(MemProfiler* mem);
   MemProfiler* mem_profiler() const noexcept { return mem_; }
 

@@ -6,8 +6,8 @@
 Compares the fixture reports here with their baselines, as CI compares
 fresh reports with SCALE_PROFILE.json and MEM_PROFILE.json: an identical
 report passes; a changed tracked field fails, naming the field and
---update; growth of a gated field fails as a REGRESSION; a report the
-baseline does not hold fails. The changed variants are written to a
+--update; growth of a gated scale field fails as a REGRESSION; a report
+the baseline does not hold fails. The changed variants are written to a
 temporary directory.
 """
 import copy
@@ -66,9 +66,15 @@ def main():
         ("mem runs changed", "mem_baseline.json",
          variant(mem, set_path("mem", "runs", 64)), 1,
          ["mem.runs: 64 vs baseline 16 CHANGED", "--update"]),
-        ("mem allocs per event grew", "mem_baseline.json",
-         variant(mem, set_path("mem", "live_bytes", "allocs_per_event", 3.0)), 1,
-         ["mem.allocs_per_event: 3.0 vs baseline", "REGRESSION"]),
+        ("mem delivered lifetimes changed", "mem_baseline.json",
+         variant(mem, set_path("mem", "lifetimes", "packet_delivered", [])), 1,
+         ["mem.packets_delivered: 0 vs baseline 240 CHANGED", "--update"]),
+        ("mem actor census changed", "mem_baseline.json",
+         variant(mem, lambda r: r["mem"]["actors"].pop(0)), 1,
+         ["mem.actor_count: 80 vs baseline 152 CHANGED", "--update"]),
+        ("mem report not in baseline", "mem_baseline.json",
+         variant(mem, set_path("experiment", "id", "T9")), 1,
+         ["T9: not in baseline"]),
     ]
 
     failures = 0

@@ -237,6 +237,24 @@ TEST(RunSweep, BodyExceptionsPropagate) {
   EXPECT_THROW(run_sweep(spec, opts), std::runtime_error);
 }
 
+TEST(RunSweep, MemoryProfilerAloneAttachesNoAuditor) {
+  // The memory profiler reads no shard claims, so asking for it alone gives
+  // each run a profiler and no auditor; the scale profiler still gets its
+  // fail-soft one.
+  const ScenarioSpec spec = noisy_spec();
+  SweepOptions opts;
+  opts.jobs = 1;
+  opts.mem = true;
+  const SweepResult mem_only = run_sweep(spec, opts);
+  ASSERT_EQ(mem_only.runs.size(), 15u);
+  for (const RunResult& r : mem_only.runs) {
+    EXPECT_NE(r.mem, nullptr);
+    EXPECT_EQ(r.audit, nullptr);
+  }
+  opts.scale = true;
+  for (const RunResult& r : run_sweep(spec, opts).runs) EXPECT_NE(r.audit, nullptr);
+}
+
 TEST(RunSweep, MissingBodyThrows) {
   ScenarioSpec spec;
   spec.name = "nobody";

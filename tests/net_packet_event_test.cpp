@@ -1,10 +1,12 @@
 // One row per packet-lifecycle path through Network::emit. Every row runs
 // with a MemProfiler, a SpanTracer and a debug-level JSONL trace attached,
 // and checks that each sink saw the path exactly once: the counter, the
-// packet's modeled lifetime, the trace lines (this pins the --trace format)
+// packet's lifetime, the trace lines (this pins the --trace format)
 // and the drop span. Every row also checks packet conservation once the
 // simulator is idle.
+#include <cstdint>
 #include <functional>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -171,6 +173,15 @@ std::vector<Row> rows() {
   };
 }
 
+std::uint64_t lifetimes(const std::map<std::uint32_t, std::uint64_t>& hist) {
+  std::uint64_t n = 0;
+  for (const auto& [bucket, count] : hist) {
+    (void)bucket;
+    n += count;
+  }
+  return n;
+}
+
 std::string joined(const std::vector<std::string>& lines) {
   std::string out;
   for (const auto& l : lines) out += l + "\n";
@@ -187,10 +198,10 @@ TEST(NetPacketEvent, EachPathReachesEverySinkOnce) {
     const NetCounters& c = std::as_const(w.net).counters();
     EXPECT_EQ((c.*row.counter).value(), 1);
 
-    const auto& sites = w.mem.sites();
-    ASSERT_EQ(sites.count("net.packet"), 1u);
-    EXPECT_EQ(sites.at("net.packet").allocs, 1u);
-    EXPECT_EQ(sites.at("net.packet").live(), 0);
+    // One birth, and one death of the kind the row takes.
+    EXPECT_EQ(w.mem.packets_born(), 1u);
+    EXPECT_EQ(lifetimes(w.mem.packet_delivered_hist()), row.dropped ? 0u : 1u);
+    EXPECT_EQ(lifetimes(w.mem.packet_dropped_hist()), row.dropped ? 1u : 0u);
 
     EXPECT_EQ(w.jsonl.str(), joined(row.lines));
 

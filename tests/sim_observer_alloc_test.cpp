@@ -60,7 +60,7 @@ namespace {
 constexpr int kBurst = 256;
 
 // Component names on both sides of std::string's 15-character inline
-// buffer: "sim.event/<component>" and the site names below are long.
+// buffer.
 const TaskTag kShort{"toy", "hop"};
 const TaskTag kLong{"toy.long_component", "hop"};
 
@@ -90,17 +90,14 @@ struct World {
     audit.claim("toy.node", node, shard);
     audit.check_mutation("toy.node", node, shard, "transmit");
     audit.record_shared_access("toy.counters_with_a_long_name", "deliver");
-    mem.note_hops("toy.forward", 4);
-    mem.note_occupancy("toy.link_queue", static_cast<std::uint64_t>(i % 5));
-    mem.count_alloc("toy.site_with_a_long_name", 64);
-    mem.count_free("toy.site_with_a_long_name", 64);
+    mem.note_occupancy("toy.link_queue_with_a_long_name", static_cast<std::uint64_t>(i % 5));
     if (!packets) return;
     // A new packet each hop, retired kInFlight hops later, so the lifetime
     // table holds kInFlight packets throughout and every uid is fresh.
     constexpr std::uint64_t kInFlight = 24;
     const std::uint64_t uid = next_uid++;
-    mem.packet_birth(space, uid, sim.now(), 1000);
-    if (uid % 16 == 0) mem.packet_birth(space, uid, sim.now(), 1000);  // a mirrored copy
+    mem.packet_birth(space, uid, sim.now());
+    if (uid % 16 == 0) mem.packet_birth(space, uid, sim.now());  // a mirrored copy
     if (uid > kInFlight) {
       const std::uint64_t done = uid - kInFlight;
       if (done % 3 == 0) {
@@ -160,10 +157,9 @@ TEST(ObserverAlloc, PacketLifetimesAllocateNothingOnceWarm) {
   w.burst();
   const std::uint64_t allocs = t_allocs - before;
   EXPECT_EQ(allocs, 0u) << "allocations retiring " << kBurst << " fresh packet uids";
-  // Every birth counts an allocation; a mirrored copy's second birth and
+  // Every uid opens one lifetime; a mirrored copy's second birth and
   // second death leave the lifetime as the first ones set it.
-  const MemProfiler::SiteStats& packets = w.mem.sites().at("net.packet");
-  EXPECT_EQ(packets.allocs, 2u * kBurst + 2u * kBurst / 16);
+  EXPECT_EQ(w.mem.packets_born(), 2u * kBurst);
   std::uint64_t deaths = 0;
   for (const auto* hist : {&w.mem.packet_delivered_hist(), &w.mem.packet_dropped_hist()}) {
     for (const auto& [bucket, n] : *hist) {
@@ -171,8 +167,7 @@ TEST(ObserverAlloc, PacketLifetimesAllocateNothingOnceWarm) {
       deaths += n;
     }
   }
-  EXPECT_EQ(deaths, 2u * kBurst - 24u);
-  EXPECT_EQ(packets.frees, deaths);
+  EXPECT_EQ(deaths, 2u * kBurst - 24u);  // the last kInFlight are still open
 }
 
 TEST(ObserverAlloc, WindowRowsGrowLogarithmically) {

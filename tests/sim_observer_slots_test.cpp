@@ -106,7 +106,7 @@ struct Observed {
 };
 
 // Component names on both sides of std::string's 15-character inline
-// buffer, so "sim.event/<component>" sites are short and long.
+// buffer.
 const TaskTag kTags[] = {
     {"toy", "tick"},
     {"toy.link", "hop"},

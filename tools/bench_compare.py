@@ -46,13 +46,10 @@ PDES speedup from the causality and load-balance side respectively.
 Memory reports (bench harness --mem-json, recognised by their "mem" key)
 are compared in MEM mode, normally against the committed MEM_PROFILE.json
 (pass it as --baseline), the same way: every MEM_TRACKED field must match
-exactly, and live_bytes_per_actor and allocs_per_event also print their
-growth, since those two are the per-unit memory headlines the
-million-actor refactor budgets against (footprint per actor and allocator
-churn per dispatched event). They are model quantities (kind-constant unit
-sizes x deterministic counts), never RSS, so for a fixed invocation they
-are exactly reproducible anywhere, and a committed profile that no longer
-matches means the code or the invocation changed the report.
+exactly. They are event, packet and actor counts and lifetime totals,
+never RSS, so for a fixed invocation they are exactly reproducible
+anywhere, and a committed profile that no longer matches means the code or
+the invocation changed the report.
 
 Harness reports carry "sim_events": null when no simulator ran (sim-less
 model benches). Those entries are flagged as ungated rather than silently
@@ -141,17 +138,12 @@ SCALE_TRACKED = SCALE_GATED + (
     "speedup_k8", "speedup_bound",
 )
 
-# Memory-report fields compared exactly (model quantities: kind-constant
-# unit sizes times deterministic counts, never RSS). The two gated ones are
-# the per-unit headlines the million-actor refactor budgets against:
-# live_bytes_per_actor (steady footprint per registered actor) and
-# allocs_per_event (allocator churn per dispatched event — the number the
-# arena/SoA work must drive toward zero). They report their growth against
-# --max-regression; like every tracked field, any difference fails.
-MEM_GATED = ("live_bytes_per_actor", "allocs_per_event")
-MEM_TRACKED = MEM_GATED + (
-    "work", "runs", "peak_live_bytes", "actor_count", "alloc_count",
-    "sites",
+# Memory-report fields compared exactly: event, packet and actor counts and
+# the delivered and dropped packet-lifetime totals. None has a direction to
+# gate; any difference fails.
+MEM_TRACKED = (
+    "work", "runs", "events_scheduled", "events_cancelled", "packets_born",
+    "actor_count", "packets_delivered", "packets_dropped",
 )
 
 
@@ -240,16 +232,20 @@ def compare_profile(bench_id: str, kind: str, cur: dict, base: dict,
 def mem_summary(report: dict) -> dict:
     """The MEM_TRACKED subset of a --mem-json report."""
     m = report["mem"]
-    lb = m["live_bytes"]
+    lifetimes = m["lifetimes"]
+
+    def closed(key: str) -> int:
+        return sum(b["count"] for b in lifetimes[key])
+
     return {
         "work": m["work"],
         "runs": m["runs"],
-        "peak_live_bytes": lb["peak"],
-        "actor_count": lb["actor_count"],
-        "live_bytes_per_actor": lb["per_actor"],
-        "alloc_count": lb["alloc_count"],
-        "allocs_per_event": lb["allocs_per_event"],
-        "sites": len(m.get("sites", [])),
+        "events_scheduled": m["events_scheduled"],
+        "events_cancelled": m["events_cancelled"],
+        "packets_born": m["packets_born"],
+        "actor_count": sum(a["count"] for a in m["actors"]),
+        "packets_delivered": closed("packet_delivered"),
+        "packets_dropped": closed("packet_dropped"),
     }
 
 
@@ -431,9 +427,7 @@ def main() -> int:
                     entry = {"experiment": bench_id,
                              "items_per_second": micro_throughputs(report)}
                 elif "mem" in report:
-                    s = mem_summary(report)
-                    entry = {"experiment": bench_id,
-                             "mem": {k: s[k] for k in MEM_GATED}}
+                    entry = {"experiment": bench_id, "mem": mem_summary(report)}
                 else:
                     entry = {"experiment": bench_id,
                              "total_events": report["total_events"],
@@ -490,7 +484,7 @@ def main() -> int:
             continue
         if profile == "mem":
             failed |= compare_profile(bench_id, profile, mem_summary(report), base,
-                                      MEM_TRACKED, MEM_GATED, args.max_regression)
+                                      MEM_TRACKED, (), args.max_regression)
             continue
         cur_s, base_s = report["wall_seconds"], base["wall_seconds"]
         if max(cur_s, base_s) < args.min_seconds:

@@ -60,18 +60,18 @@
 //                      container — hash order would make the merged report
 //                      depend on the stdlib, not the seed.
 //   mem-wall-clock     the same wall-clock token list inside the memory
-//                      profiler (sim/mem_profile*): live-bytes, lifetimes,
-//                      and locality scores are model units attached to
-//                      simulated time — never RSS, never a malloc hook — so
-//                      MEM_PROFILE reports stay byte-identical at any
-//                      --jobs and --shards setting.
+//                      profiler (sim/mem_profile*): lifetimes, occupancy
+//                      and the actor census are counts and simulated time
+//                      — never RSS, never a malloc hook — so MEM_PROFILE
+//                      reports stay byte-identical at any --jobs and
+//                      --shards setting.
 //   mem-merge-order    hash containers inside the memory profiler: same
 //                      merge/export argument as scale-merge-order.
 //   hot-path-alloc     raw `new`/`delete` or std::make_shared in src/net or
 //                      src/sim: the million-actor refactor moves per-packet
-//                      and per-event churn into arenas and pools, and the
-//                      MemProfiler's allocs-per-event gate only binds if new
-//                      churn cannot appear silently. Each remaining direct
+//                      and per-event churn into arenas and pools, and
+//                      perfbench's real allocations per event only stay
+//                      near zero if new churn cannot appear silently. Each remaining direct
 //                      allocation must be audited and allowlisted with the
 //                      reason it is not per-packet churn ("= delete"
 //                      declarations are ignored).
@@ -492,12 +492,12 @@ constexpr PinnedModule kPinnedModules[] = {
      "shard loads, lookahead windows, and speedup predictions derive from simulated "
      "time only, or SCALE_PROFILE reports diverge across runs and --jobs settings"},
     // The memory profiler carries the same contract again: every quantity in
-    // a MEM_PROFILE report (live bytes, lifetimes, locality scores) is a
-    // model unit attached to simulated time — never RSS, never a malloc hook.
+    // a MEM_PROFILE report (lifetimes, occupancy, the actor census) is a
+    // count or a simulated time — never RSS, never a malloc hook.
     {"sim/mem_profile", "mem-wall-clock", "mem-merge-order", "the memory profiler",
-     "live-bytes, lifetimes, and locality scores are model units attached to simulated "
-     "time — never RSS — or MEM_PROFILE reports diverge across runs, --jobs, and "
-     "--shards settings"},
+     "lifetimes, occupancy, and the actor census are counts and simulated time — "
+     "never RSS — or MEM_PROFILE reports diverge across runs, --jobs, and --shards "
+     "settings"},
 };
 
 bool in_hot_path(const std::string& path) {
@@ -508,7 +508,8 @@ bool in_hot_path(const std::string& path) {
 }
 
 /// Where the hot-path-alloc check applies: the subsystems whose per-packet /
-/// per-event churn the MemProfiler meters and the arena refactor targets.
+/// per-event churn perfbench's allocation count meters and the arena
+/// refactor targets.
 bool in_alloc_hot_path(const std::string& path) {
   for (const char* dir : {"/sim/", "/net/"}) {
     if (path.find(dir) != std::string::npos) return true;
@@ -593,8 +594,8 @@ void check_line_tokens(const Source& src, std::size_t lineno, std::vector<Findin
                std::string("'") + tok +
                    "' in a packet/event hot-path subsystem: per-packet "
                    "or per-event heap churn is what the arena/pool "
-                   "refactor removes and the MemProfiler's "
-                   "allocs-per-event gate meters — audit the site and "
+                   "refactor removes and perfbench's "
+                   "alloc.run_per_event meters — audit the site and "
                    "allowlist it with why it is not per-packet churn");
         break;
       }
